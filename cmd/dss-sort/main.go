@@ -15,13 +15,9 @@
 //
 // The Step-3 string exchange is split-phase by default: each PE decodes
 // incoming runs as they arrive, overlapping communication with compute
-// (reported as the overlap statistic). -exchange blocking restores the
-// bulk-synchronous seam; the deterministic statistics are identical in
-// both modes. -merge streaming goes further: buckets ship as chunked
-// frames feeding incremental run readers and the Step-4 loser tree
-// starts on partially decoded runs, so merging begins before the last
-// frame arrives (the "merge lead" line); output and deterministic
-// statistics stay bit-identical to the eager merge.
+// (reported as the overlap statistic), and merges the decoded runs.
+// -exchange blocking restores the bulk-synchronous seam; the
+// deterministic statistics are identical in both modes.
 //
 // -codec decorates the transport with a wire codec (flate, or the
 // LCP-front-coding-aware lcp codec) that compresses frames above
@@ -30,9 +26,9 @@
 // bit-identical under every codec; the "wire bytes" line reports what
 // actually crossed the wire. All tuning flags (-algo, -seed,
 // -oversampling, -charsample, -eps, -tiebreak, -randomsample, -exchange,
-// -merge, -merge-chunk, -codec, -codec-min, -validate, -mem-budget,
-// -spill-dir, -trace, -trace-cap, -chaos, -chaos-seed, -net-retries,
-// -net-timeout) are shared verbatim with dss-worker.
+// -merge-chunk, -codec, -codec-min, -validate, -mem-budget, -spill-dir,
+// -trace, -trace-cap, -chaos, -chaos-seed, -net-retries, -net-timeout)
+// are shared verbatim with dss-worker.
 //
 // -chaos LEVEL injects deterministic faults (frame delays, reordering
 // within delivery bounds, and at the "drop" level mid-run connection
@@ -49,9 +45,11 @@
 // -cpuprofile/-memprofile write runtime/pprof profiles. See the README's
 // "Observability" section.
 //
-// -mem-budget engages the bounded-memory out-of-core pipeline: each PE
-// spills Step-3 runs to page files once its metered arenas exceed the
-// budget and streams its merged fragment to a sorted-run file, which
+// -mem-budget engages the bounded-memory out-of-core pipeline: Step-3
+// buckets ship as chunked frames (at most -merge-chunk bytes each), each
+// PE spills runs to page files once its metered arenas exceed the budget,
+// its loser tree starts on partially received runs (the "merge lead"
+// line), and it streams its merged fragment to a sorted-run file, which
 // dss-sort then copies to the output line by line (PDMS prefixes are
 // resolved to full strings through their recorded origins). The sorted
 // output bytes are identical to an unbudgeted run; the stderr summary

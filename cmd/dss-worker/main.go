@@ -23,15 +23,16 @@
 //
 // Flag parity with dss-sort: every tuning flag of dss-sort (-algo, -seed,
 // -oversampling, -charsample, -eps, -tiebreak, -randomsample, -exchange,
-// -merge, -merge-chunk, -codec, -codec-min, -validate, -mem-budget,
-// -spill-dir, -trace, -trace-cap, -chaos, -chaos-seed, -net-retries,
-// -net-timeout) is accepted here with identical semantics — both binaries
+// -merge-chunk, -codec, -codec-min, -validate, -mem-budget, -spill-dir,
+// -trace, -trace-cap, -chaos, -chaos-seed, -net-retries, -net-timeout) is
+// accepted here with identical semantics — both binaries
 // register the same stringsort.RegisterTuningFlags set. -net-retries and
 // -net-timeout shape the worker's reconnect-with-resend behavior when an
 // established peer connection drops mid-run; the run's stats report the
 // recovery volume on the `net:` line.
 // With -mem-budget the worker runs the bounded-memory out-of-core
-// pipeline: it spills Step-3 runs to page files under -spill-dir and
+// pipeline: Step-3 buckets ship as chunked frames of at most -merge-chunk
+// bytes, runs spill to page files under -spill-dir, and the worker
 // streams its sorted fragment from a run file to -out instead of
 // materializing it. One difference to dss-sort: a budgeted PDMS worker
 // writes the distinguishing prefixes themselves (with -lcp available),

@@ -18,19 +18,25 @@
 // output (PE i's strings ≤ PE i+1's strings, each fragment locally sorted).
 // Input slices are not modified; the spine is copied internally.
 //
-// The Step-3→Step-4 seam of every algorithm is split-phase by default:
-// all outgoing buckets are posted first (comm.IAlltoallv), and each
-// incoming run is decoded the moment its frames land, so the exchange
+// Every in-RAM run has one Step-3→Step-4 seam, split-phase by default:
+// all outgoing buckets are posted as their encoders finish, each incoming
+// run is decoded whole the moment it lands, and Step 4 merges the decoded
+// runs (exchangeEncoded, then the partitioned merge). The exchange thus
 // overlaps the decode work instead of ending at a global barrier. The
 // deterministic statistics are unaffected — received bytes are billed to
-// the phase the exchange was posted in — and the pre-split bulk-synchronous
-// seam remains selectable through the BlockingExchange options for
-// differential testing.
+// the phase the exchange was posted in — and the bulk-synchronous seam
+// remains selectable through the BlockingExchange options as the
+// differential reference. The bounded-memory pipeline (the Spill options,
+// outofcore.go) is the one other seam: a chunked exchange feeding
+// spillable run readers that a sink-mode loser tree drains into a
+// sorted-run file.
 package core
 
 import (
 	"dss/internal/comm"
+	"dss/internal/merge"
 	"dss/internal/stats"
+	"dss/internal/trace"
 )
 
 // Origin identifies where an output string came from: the PE it was
@@ -108,7 +114,7 @@ func partOffsets(sizes []int) []int {
 // synchronization, and the encoded bytes are identical at every pool
 // width (each encoder is a pure function of its bucket). Worker busy time
 // is credited to the current phase's CPU channel. Used directly by the
-// streaming seam, which hands the parts to the chunked exchange.
+// budget pipeline, which hands the parts to the chunked exchange.
 func encodeParts(c *comm.Comm, sizes []int, enc func(dst int, buf []byte) []byte) [][]byte {
 	offs := partOffsets(sizes)
 	arena := make([]byte, offs[len(sizes)])
@@ -208,4 +214,23 @@ func exchangeEncoded(c *comm.Comm, g *comm.Group, sizes []int,
 		})
 	}
 	c.AddCPU(dgrp.Wait())
+}
+
+// mergeHooks builds the merge layer's trace hooks from the PE's recorder:
+// worker spans labeled "merge" plus one "merge-seam" instant per
+// partition boundary (Arg = output index, Arg2 = partition). Zero hooks —
+// costing nothing — when tracing is off.
+func mergeHooks(c *comm.Comm) merge.Hooks {
+	tr := c.Trace()
+	if tr == nil {
+		return merge.Hooks{}
+	}
+	return merge.Hooks{
+		Obs: c.WorkerObserver("merge"),
+		OnPartition: func(bounds []int) {
+			for j := 1; j < len(bounds); j++ {
+				tr.Instant(trace.TrackControl, "merge-seam", int64(bounds[j]), int64(j-1))
+			}
+		},
+	}
 }

@@ -19,10 +19,8 @@ type FKOptions struct {
 	// instead of the default split-phase decode-on-arrival one (see
 	// MSOptions.BlockingExchange).
 	BlockingExchange bool
-	// StreamingMerge starts the Step-4 loser tree on partially decoded
-	// runs over a chunked exchange (see MSOptions.StreamingMerge).
-	StreamingMerge bool
-	// StreamChunk bounds the streaming frame payload (0 = default).
+	// StreamChunk bounds the budget pipeline's chunked-exchange frame
+	// payload (see MSOptions.StreamChunk).
 	StreamChunk int
 	// ParMergeMin gates the partitioned parallel Step-4 merge (see
 	// MSOptions.ParMergeMin).
@@ -80,11 +78,6 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 	enc := func(dst int, buf []byte) []byte {
 		return wire.AppendStrings(buf, local[off[dst]:off[dst+1]])
 	}
-	// Step 4: ordinary loser tree merge — streaming (the tree pulls heads
-	// off partially decoded runs) or eager (decode each run whole on
-	// arrival; DecodeStrings copies into its own backing).
-	var out merge.Sequence
-	var mwork, mbusy int64
 	if opt.Spill != nil {
 		// Bounded-memory pipeline (see MergeSort's budget branch).
 		parts := encodeParts(c, sizes, enc)
@@ -94,25 +87,17 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 		c.SetPhase(stats.PhaseOther)
 		return Result{Drained: n}
 	}
-	if opt.StreamingMerge {
-		parts := encodeParts(c, sizes, enc)
-		rs := streamRuns(c, g, parts, wire.RunStrings, opt.BlockingExchange, opt.StreamChunk, stats.PhaseMerge)
-		out, mwork, mbusy = merge.MergeStreamPar(rs.sources(), merge.StreamOptions{
-			OnFirstOutput: markMergeStart(c),
-			Pool:          c.Pool(), ParMin: opt.ParMergeMin, Snapshot: rs.snapshot(false),
-			Hooks: mergeHooks(c),
-		})
-	} else {
-		runs := make([]merge.Sequence, p)
-		exchangeEncoded(c, g, sizes, enc, opt.BlockingExchange, stats.PhaseMerge, func(src int, msg []byte) {
-			rs, err := wire.DecodeStrings(msg)
-			if err != nil {
-				panic("fkmerge: corrupt run: " + err.Error())
-			}
-			runs[src] = merge.Sequence{Strings: rs}
-		})
-		out, mwork, mbusy = merge.MergeParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
-	}
+	// Step 4: ordinary loser tree merge of the runs, each decoded whole on
+	// arrival (DecodeStrings copies into its own backing).
+	runs := make([]merge.Sequence, p)
+	exchangeEncoded(c, g, sizes, enc, opt.BlockingExchange, stats.PhaseMerge, func(src int, msg []byte) {
+		rs, err := wire.DecodeStrings(msg)
+		if err != nil {
+			panic("fkmerge: corrupt run: " + err.Error())
+		}
+		runs[src] = merge.Sequence{Strings: rs}
+	})
+	out, mwork, mbusy := merge.MergeParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
 	c.AddWork(mwork)
 	c.AddCPU(mbusy)
 	c.SetPhase(stats.PhaseOther)

@@ -48,32 +48,22 @@ type MSOptions struct {
 	// decodes each run on arrival. Deterministic statistics are identical
 	// either way; blocking mode exists for differential testing.
 	BlockingExchange bool
-	// StreamingMerge goes beyond the split-phase seam: Step 3 ships each
-	// bucket as a chunked transfer and Step 4's loser tree starts on
-	// partially decoded runs, pulling heads on demand — merging begins
-	// before the last frame lands. Output and deterministic statistics are
-	// bit-identical to the eager seams. Combined with BlockingExchange the
-	// chunked machinery runs but every fragment is drained before merging
-	// (the differential reference cell). The one configuration without a
-	// streaming wire format — LCPMerge without LCPCompression, which no
-	// public configuration produces — falls back to the eager seam.
-	StreamingMerge bool
-	// StreamChunk bounds the streaming frame payload in bytes (0 = the
-	// comm default). Small values force many frames; tests use them to
-	// exercise resume-mid-frame paths.
+	// StreamChunk bounds the budget pipeline's chunked-exchange frame
+	// payload in bytes (0 = the comm default; ignored without Spill).
+	// Small values force many frames; tests use them to exercise
+	// resume-mid-frame paths.
 	StreamChunk int
 	// ParMergeMin gates the partitioned parallel Step-4 merge by received
 	// strings: 0 = merge.DefaultParMin, negative = always sequential.
 	// Output and deterministic stats are pool-width-independent either way.
 	ParMergeMin int
 	// Spill, if non-nil, runs the bounded-memory out-of-core pipeline:
-	// Step 3 ships through the chunked machinery regardless of
-	// StreamingMerge, incoming runs spill to page files once the pool's
-	// budget is exceeded, and the Step-4 sink merge drains into Out
-	// (required non-nil with Spill) instead of an output arena. The
-	// deterministic statistics are untouched — they are seam-invariant and
-	// the spill decision only moves measured gauges — and the result holds
-	// Drained instead of Strings.
+	// Step 3 ships through the chunked exchange, incoming runs spill to
+	// page files once the pool's budget is exceeded, and the Step-4 sink
+	// merge drains into Out (required non-nil with Spill) instead of an
+	// output arena. The deterministic statistics are untouched — they are
+	// seam-invariant and the spill decision only moves measured gauges —
+	// and the result holds Drained instead of Strings.
 	Spill *spill.Pool
 	// Out receives the merged run in budget mode (nil otherwise).
 	Out *spill.RunWriter
@@ -150,11 +140,9 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	if !opt.CentralSampleSort {
 		seed := opt.Seed
 		blocking := opt.BlockingExchange
-		streaming, chunk := opt.StreamingMerge, opt.StreamChunk
 		popt.DistSort = func(cc *comm.Comm, samples [][]byte, gid int) [][]byte {
 			return HQuick(cc, samples, HQOptions{
 				GroupID: gid, Seed: seed, BlockingExchange: blocking,
-				StreamingMerge: streaming, StreamChunk: chunk,
 			}).Strings
 		}
 	}
@@ -206,13 +194,6 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 			return wire.AppendStrings(buf, local[lo:hi])
 		}
 	}
-	// Streaming seam: ship the buckets chunked and let the Step-4 loser
-	// tree pull heads off partially decoded runs — merging starts before
-	// the last frame lands. The composite LCPMerge-without-compression
-	// layout has no streaming reader; that configuration (unreachable from
-	// the public API) keeps the eager seam.
-	var out merge.Sequence
-	var mwork, mbusy int64
 	if opt.Spill != nil {
 		// Bounded-memory pipeline: the chunked exchange with spillable run
 		// sources and the sink-mode merge draining straight into the
@@ -232,56 +213,43 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 		c.SetPhase(stats.PhaseOther)
 		return Result{Drained: n}
 	}
-	if opt.StreamingMerge && !(opt.LCPMerge && !opt.LCPCompression) {
-		format := wire.RunStrings
-		if opt.LCPCompression {
-			format = wire.RunStringsLCP
-		}
-		parts := encodeParts(c, sizes, enc)
-		rs := streamRuns(c, g, parts, format, opt.BlockingExchange, opt.StreamChunk, stats.PhaseMerge)
-		out, mwork, mbusy = merge.MergeStreamPar(rs.sources(), merge.StreamOptions{
-			LCP: opt.LCPMerge, OnFirstOutput: markMergeStart(c),
-			Pool: c.Pool(), ParMin: opt.ParMergeMin, Snapshot: rs.snapshot(false),
-			Hooks: mergeHooks(c),
-		})
-	} else {
-		// Eager seam: encode each bucket on the pool, posting it as its
-		// encoder finishes, then decode each incoming run as soon as it
-		// lands WHOLE (the arena decoders copy everything out of the
-		// message); the phase switches to merging while the stragglers are
-		// still in flight.
-		runs := make([]merge.Sequence, p)
-		exchangeEncoded(c, g, sizes, enc, opt.BlockingExchange, stats.PhaseMerge, func(src int, msg []byte) {
-			switch {
-			case opt.LCPCompression:
-				rs, rl, err := wire.DecodeStringsLCP(msg)
-				if err != nil {
-					panic("mergesort: corrupt compressed run: " + err.Error())
-				}
-				runs[src] = merge.Sequence{Strings: rs, LCPs: rl}
-			case opt.LCPMerge:
-				rs, rl, err := decodeStringsWithLCPs(msg)
-				if err != nil {
-					panic("mergesort: corrupt run: " + err.Error())
-				}
-				runs[src] = merge.Sequence{Strings: rs, LCPs: rl}
-			default:
-				rs, err := wire.DecodeStrings(msg)
-				if err != nil {
-					panic("mergesort: corrupt run: " + err.Error())
-				}
-				runs[src] = merge.Sequence{Strings: rs}
+	// In-RAM seam: encode each bucket on the pool, posting it as its
+	// encoder finishes, then decode each incoming run as soon as it lands
+	// WHOLE (the arena decoders copy everything out of the message); the
+	// phase switches to merging while the stragglers are still in flight.
+	runs := make([]merge.Sequence, p)
+	exchangeEncoded(c, g, sizes, enc, opt.BlockingExchange, stats.PhaseMerge, func(src int, msg []byte) {
+		switch {
+		case opt.LCPCompression:
+			rs, rl, err := wire.DecodeStringsLCP(msg)
+			if err != nil {
+				panic("mergesort: corrupt compressed run: " + err.Error())
 			}
-		})
-
-		// Step 4: multiway merge of the fully decoded runs, partitioned
-		// across the pool by multisequence selection (width-independent
-		// output and work by the deterministic merge-back contract).
-		if opt.LCPMerge {
-			out, mwork, mbusy = merge.MergeLCPParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
-		} else {
-			out, mwork, mbusy = merge.MergeParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
+			runs[src] = merge.Sequence{Strings: rs, LCPs: rl}
+		case opt.LCPMerge:
+			rs, rl, err := decodeStringsWithLCPs(msg)
+			if err != nil {
+				panic("mergesort: corrupt run: " + err.Error())
+			}
+			runs[src] = merge.Sequence{Strings: rs, LCPs: rl}
+		default:
+			rs, err := wire.DecodeStrings(msg)
+			if err != nil {
+				panic("mergesort: corrupt run: " + err.Error())
+			}
+			runs[src] = merge.Sequence{Strings: rs}
 		}
+	})
+
+	// Step 4: multiway merge of the fully decoded runs, partitioned across
+	// the pool by multisequence selection (width-independent output and
+	// work by the deterministic merge-back contract).
+	var out merge.Sequence
+	var mwork, mbusy int64
+	if opt.LCPMerge {
+		out, mwork, mbusy = merge.MergeLCPParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
+	} else {
+		out, mwork, mbusy = merge.MergeParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
 	}
 	c.AddWork(mwork)
 	c.AddCPU(mbusy)

@@ -1,31 +1,33 @@
-// The bounded-memory Step-3→Step-4 seam: streamRuns' out-of-core
-// counterpart. The chunked exchange and the incremental run readers are
-// the same machinery, but every arriving fragment may be diverted to a
-// per-run page file when the decoded arenas exceed the spill pool's
-// budget, the sink-mode loser tree drains straight into a sorted-run
-// writer instead of an output arena, and each run's consumed arena prefix
-// is recycled as the merge passes it. Feeding order equals arrival order
-// whether bytes take the resident or the spilled route, so the decoded
-// runs — and with them the merged output and every deterministic
-// statistic — are byte-identical to the in-RAM seams. Only where bytes
-// wait (RAM vs page file) and where the output lands (arena vs run file)
-// differ, and those differences live on the measured channels:
+// The bounded-memory Step-3→Step-4 seam: buckets ship as a chunked
+// exchange (comm.IAlltoallvChunked) feeding incremental run readers
+// (wire.RunReader), every arriving fragment may be diverted to a per-run
+// page file when the decoded arenas exceed the spill pool's budget, the
+// sink-mode loser tree pulls heads off the readers and drains straight
+// into a sorted-run writer instead of an output arena, and each run's
+// consumed arena prefix is recycled as the merge passes it. Feeding order
+// equals arrival order whether bytes take the resident or the spilled
+// route, so the decoded runs — and with them the merged output and every
+// deterministic statistic — are byte-identical to the in-RAM seam. Only
+// where bytes wait (RAM vs page file) and where the output lands (arena vs
+// run file) differ, and those differences live on the measured channels:
 // SpillBytesWritten/Read, PeakLiveBytes and the write-behind CPU share.
 package core
 
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"dss/internal/comm"
 	"dss/internal/merge"
 	"dss/internal/spill"
 	"dss/internal/stats"
+	"dss/internal/trace"
 	"dss/internal/wire"
 )
 
 // spillStream couples a chunked exchange in flight with one budgeted run
-// per source. It is confined to the PE goroutine, like runStream; only
+// per source. It is confined to the PE goroutine, like the Comm; only
 // the page writes run concurrently (spill.File's write-behind chain).
 type spillStream struct {
 	c     *comm.Comm
@@ -50,11 +52,11 @@ type spillRun struct {
 	finished bool  // reader.Finish called
 }
 
-// spillRuns posts the outgoing buckets as chunked transfers (exactly like
-// streamRuns — the deterministic accounting is shared) and returns the
-// budgeted pull views. Blocking mode drains every fragment before the
-// phase switch, spilling past-budget bytes as it goes: the bulk-
-// synchronous out-of-core reference.
+// spillRuns posts the outgoing buckets as chunked transfers (billed
+// bucket for bucket like the in-RAM exchange) and returns the budgeted
+// pull views. Blocking mode drains every fragment before the phase
+// switch, spilling past-budget bytes as it goes: the bulk-synchronous
+// out-of-core reference.
 func spillRuns(c *comm.Comm, g *comm.Group, parts [][]byte, format wire.RunFormat, blocking bool, chunk int, next stats.Phase, pool *spill.Pool) *spillStream {
 	// The composite PDMS layout trails the origin column behind the whole
 	// prefix blob, so no item can emit before its bucket is complete —
@@ -193,10 +195,10 @@ func (st *spillStream) finish() {
 	st.c.AddCPU(busy)
 }
 
-// spillSource adapts one budgeted run to merge.Source. Unlike
-// streamSource, a head is only valid until its source advances past it —
-// the arena behind consumed heads is recycled — which is exactly the
-// guarantee the sink-mode merge needs and no more.
+// spillSource adapts one budgeted run to merge.Source. A head is only
+// valid until its source advances past it — the arena behind consumed
+// heads is recycled — which is exactly the guarantee the sink-mode merge
+// needs and no more.
 type spillSource struct {
 	st  *spillStream
 	run *spillRun
@@ -235,6 +237,16 @@ func (s *spillSource) HeadSat() uint64 { return s.cur.Sat }
 
 // Advance consumes the current head.
 func (s *spillSource) Advance() { s.has = false }
+
+// markMergeStart returns the merge's first-output hook: it stamps the PE's
+// merge-start milestone, which the overlap reporting compares against the
+// exchange-done stamp to show merging began while frames were in flight.
+func markMergeStart(c *comm.Comm) func() {
+	return func() {
+		c.StatsPE().MergeStartNS = time.Now().UnixNano()
+		c.Trace().Instant(trace.TrackControl, "merge-start", 0, 0)
+	}
+}
 
 // sinkMerge drains the budgeted sources through the sequential sink-mode
 // loser tree into the run writer. The item sequence and the returned work

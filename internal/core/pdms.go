@@ -50,14 +50,8 @@ type PDMSOptions struct {
 	// instead of the default split-phase decode-on-arrival one (see
 	// MSOptions.BlockingExchange).
 	BlockingExchange bool
-	// StreamingMerge starts the Step-4 loser tree on partially decoded
-	// prefix runs over a chunked exchange (see MSOptions.StreamingMerge).
-	// A PDMS head becomes available once its origin has decoded too — the
-	// origins trail the prefixes within one bucket, so streaming's win here
-	// is bounded by the composite layout, but output and statistics stay
-	// bit-identical.
-	StreamingMerge bool
-	// StreamChunk bounds the streaming frame payload (0 = default).
+	// StreamChunk bounds the budget pipeline's chunked-exchange frame
+	// payload (see MSOptions.StreamChunk).
 	StreamChunk int
 	// ParMergeMin gates the partitioned parallel Step-4 merge (see
 	// MSOptions.ParMergeMin).
@@ -185,7 +179,6 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		DistSort: func(cc *comm.Comm, samples [][]byte, gid int) [][]byte {
 			return HQuick(cc, samples, HQOptions{
 				GroupID: gid, Seed: seed, BlockingExchange: opt.BlockingExchange,
-				StreamingMerge: opt.StreamingMerge, StreamChunk: opt.StreamChunk,
 			}).Strings
 		},
 	}
@@ -228,12 +221,6 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		}
 		return buf
 	}
-	// Step 4: LCP-aware multiway merge of the prefix runs — streaming (the
-	// tree pulls (prefix, origin) heads off partially decoded runs) or
-	// eager (decode each run whole on arrival; the decoders copy
-	// everything out).
-	var out merge.Sequence
-	var mwork, mbusy int64
 	if opt.Spill != nil {
 		// Bounded-memory pipeline (see MergeSort's budget branch): the
 		// origins travel as the run file's satellite column.
@@ -244,35 +231,27 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 		c.SetPhase(stats.PhaseOther)
 		return Result{Drained: n, PrefixOnly: true}
 	}
-	if opt.StreamingMerge {
-		parts := encodeParts(c, sizes, enc)
-		rs := streamRuns(c, g, parts, wire.RunPrefixOrigins, opt.BlockingExchange, opt.StreamChunk, stats.PhaseMerge)
-		out, mwork, mbusy = merge.MergeStreamPar(rs.sources(), merge.StreamOptions{
-			LCP: true, Sats: true, OnFirstOutput: markMergeStart(c),
-			Pool: c.Pool(), ParMin: opt.ParMergeMin, Snapshot: rs.snapshot(true),
-			Hooks: mergeHooks(c),
-		})
-	} else {
-		runs := make([]merge.Sequence, p)
-		exchangeEncoded(c, g, sizes, enc, opt.BlockingExchange, stats.PhaseMerge, func(src int, msg []byte) {
-			r := wire.NewReader(msg)
-			blob, err1 := r.BytesPrefixed()
-			oblob, err2 := r.BytesPrefixed()
-			if err1 != nil || err2 != nil {
-				panic("pdms: corrupt exchange message")
-			}
-			rs, rl, err := wire.DecodeStringsLCP(blob)
-			if err != nil {
-				panic("pdms: corrupt prefix run: " + err.Error())
-			}
-			ro, err := wire.DecodeUint64s(oblob)
-			if err != nil || len(ro) != len(rs) {
-				panic("pdms: corrupt origin run")
-			}
-			runs[src] = merge.Sequence{Strings: rs, LCPs: rl, Sats: ro}
-		})
-		out, mwork, mbusy = merge.MergeLCPParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
-	}
+	// Step 4: LCP-aware multiway merge of the prefix runs, each decoded
+	// whole on arrival (the decoders copy everything out).
+	runs := make([]merge.Sequence, p)
+	exchangeEncoded(c, g, sizes, enc, opt.BlockingExchange, stats.PhaseMerge, func(src int, msg []byte) {
+		r := wire.NewReader(msg)
+		blob, err1 := r.BytesPrefixed()
+		oblob, err2 := r.BytesPrefixed()
+		if err1 != nil || err2 != nil {
+			panic("pdms: corrupt exchange message")
+		}
+		rs, rl, err := wire.DecodeStringsLCP(blob)
+		if err != nil {
+			panic("pdms: corrupt prefix run: " + err.Error())
+		}
+		ro, err := wire.DecodeUint64s(oblob)
+		if err != nil || len(ro) != len(rs) {
+			panic("pdms: corrupt origin run")
+		}
+		runs[src] = merge.Sequence{Strings: rs, LCPs: rl, Sats: ro}
+	})
+	out, mwork, mbusy := merge.MergeLCPParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
 	c.AddWork(mwork)
 	c.AddCPU(mbusy)
 	origins := make([]Origin, len(out.Sats))

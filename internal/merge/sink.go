@@ -1,8 +1,8 @@
 // Sink-mode streaming merge: the out-of-core drain of the loser tree.
-// MergeStreamSink is MergeStream with the output Sequence replaced by a
-// per-item callback, so the merged run never accumulates in memory — the
-// budgeted pipeline points the sink at a sorted-run file writer and
-// recycles each source's arena as its strings are consumed.
+// MergeStreamSink pushes each merged item into a per-item callback, so the
+// merged run never accumulates in memory — the budgeted pipeline points
+// the sink at a sorted-run file writer and recycles each source's arena
+// as its strings are consumed.
 package merge
 
 // Sink receives one merged item: the string, its LCP with the previous
@@ -15,11 +15,10 @@ type Sink func(s []byte, lcp int32, sat uint64) error
 // MergeStreamSink merges the sources through the streaming loser tree and
 // pushes every output item into sink, in order. The item sequence
 // (strings, LCPs, satellites) and the returned character work are
-// bit-identical to MergeStream over the same sources: the two share the
-// tree and its comparators. The merge is deliberately sequential — an
+// bit-identical to MergeStream over the same sources (MergeStream is this
+// loop with an appending sink). The merge is deliberately sequential — an
 // incrementally written output file has no partition boundaries to hand
-// off to — so opt.Pool and opt.Snapshot are ignored; opt.OnFirstOutput is
-// honored. A sink error aborts the merge and is returned; sources are left
+// off to. A sink error aborts the merge and is returned; sources are left
 // mid-run (the caller's cleanup owns them).
 func MergeStreamSink(sources []Source, opt StreamOptions, sink Sink) (n int64, work int64, err error) {
 	k := 1
@@ -66,6 +65,8 @@ func MergeStreamSink(sources []Source, opt StreamOptions, sink Sink) (n int64, w
 			return n, t.work, err
 		}
 		n++
+		// Advance the winner's stream; the new head's LCP with the last
+		// output is the stream's own LCP entry (see emit in merge.go).
 		t.srcs[winner].Advance()
 		t.fetched[winner] = false
 		if t.useLCP {
@@ -75,6 +76,7 @@ func MergeStreamSink(sources []Source, opt StreamOptions, sink Sink) (n int64, w
 				t.curH[winner] = 0
 			}
 		}
+		// Replay the path from the winner's leaf to the root.
 		node := (winner + t.k) / 2
 		for node >= 1 {
 			if t.less(t.loser[node], winner) {

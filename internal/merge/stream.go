@@ -1,9 +1,11 @@
 // Streaming K-way merge: the same loser trees as merge.go, pulled over
-// Sources that may still be arriving. MergeStream is the Step-4 front-end
-// of the streaming exchange seam — the tree starts as soon as every run
-// can produce its FIRST head and from then on blocks only when the one
-// head it needs next has not been decoded yet (the blocking Head call is
-// where the caller drains more frames into its run readers).
+// Sources that may still be arriving. MergeStreamSink (sink.go) is the
+// Step-4 front-end of the budget pipeline's chunked exchange seam — the
+// tree starts as soon as every run can produce its FIRST head and from
+// then on blocks only when the one head it needs next has not been
+// decoded yet (the blocking Head call is where the caller drains more
+// frames into its run readers or pages spilled bytes back in).
+// MergeStream is the same loop collecting its output into a Sequence.
 //
 // Work-count identity: the comparison sequence of a loser tree is a pure
 // function of the head sequences, the per-head LCP values and the stream
@@ -11,25 +13,11 @@
 // presents, pads to the same power-of-two tree and replays the same paths,
 // so the character work it reports is bit-identical to Merge/MergeLCP on
 // the same runs — asserted by the differential tests in stream_test.go.
-//
-// Parallel handoff: with a pool and a Snapshot callback, the streaming
-// tree periodically asks the caller whether the exchange has fully
-// arrived. Once it has, the live tree state is transplanted onto an eager
-// tree over the materialized remainders (same heads, same curH, same
-// losers — a pure continuation) and the rest of the merge runs through
-// the partitioned parallel path of parallel.go, preserving both the
-// early-start MergeLeadMS semantics and the byte-identical output/work
-// contract at every pool width.
 package merge
-
-import (
-	"dss/internal/par"
-	"dss/internal/partition"
-)
 
 // Source is a pull-based sorted string run. Implementations are typically
 // backed by an incremental run reader over a partially received exchange
-// payload (see core's streaming seam); SliceSource adapts a materialized
+// payload (see core's budget pipeline); SliceSource adapts a materialized
 // Sequence.
 //
 // Aliasing contract: the slice returned by Head must remain valid and
@@ -72,63 +60,14 @@ type StreamOptions struct {
 	// the tree emits its first merged string — the merge-start milestone
 	// the overlap accounting records. Not invoked for an empty merge.
 	OnFirstOutput func()
-	// Pool, if non-nil and wider than one, enables the parallel handoff:
-	// once Snapshot reports the exchange drained, the remainder of the
-	// merge is partitioned across the pool. With a nil/width-1 pool or a
-	// nil Snapshot the merge is fully sequential (the exact legacy path).
-	Pool *par.Pool
-	// ParMin gates the handoff's partitioned finish by remaining strings:
-	// 0 means DefaultParMin, negative disables partitioning (the handoff
-	// then continues on the single live tree).
-	ParMin int
-	// Snapshot, if set, is polled between outputs. It returns the fully
-	// materialized remainders of all sources (aligned with the sources
-	// slice, each remainder's entry 0 being the current un-advanced head)
-	// and ok=true when — and only when — every source can be drained
-	// without blocking. The merge commits to the snapshot as soon as it is
-	// offered: implementations may treat the materializing call as
-	// destructive (the sources are not pulled again afterwards).
-	Snapshot func() ([]Sequence, bool)
-	// Hooks report worker spans and partition seams of the partitioned
-	// finish to the timeline trace; zero value = disabled.
-	Hooks Hooks
 }
-
-// handoffPollEvery is how many outputs the streaming tree emits between
-// Snapshot polls. Polling is O(sources) per call; 64 keeps it invisible
-// while bounding the post-arrival sequential tail.
-const handoffPollEvery = 64
 
 // MergeStream merges the sources with a loser tree, pulling heads on
 // demand, and returns the merged run and the number of characters
 // inspected. The output is identical (strings, LCPs, satellites, work) to
-// Merge/MergeLCP over the fully materialized runs.
+// Merge/MergeLCP over the fully materialized runs. It is MergeStreamSink
+// with a sink that appends to the returned Sequence.
 func MergeStream(sources []Source, opt StreamOptions) (Sequence, int64) {
-	out, work, _ := MergeStreamPar(sources, opt)
-	return out, work
-}
-
-// MergeStreamPar is MergeStream with the parallel handoff enabled (see
-// StreamOptions.Pool/Snapshot); it additionally returns the pool busy-ns
-// accumulated by the partitioned finish.
-func MergeStreamPar(sources []Source, opt StreamOptions) (Sequence, int64, int64) {
-	k := 1
-	for k < len(sources) {
-		k <<= 1
-	}
-	st := getTreeState(k)
-	t := &streamTree{
-		k:       k,
-		loser:   st.loser[:k],
-		srcs:    sources,
-		heads:   st.heads[:len(sources)],
-		fetched: st.fetched[:len(sources)],
-		curH:    st.curH[:len(sources)],
-		useLCP:  opt.LCP,
-		state:   st,
-	}
-	clear(t.fetched)
-	clear(t.curH)
 	out := Sequence{Strings: make([][]byte, 0)}
 	if opt.LCP {
 		out.LCPs = make([]int32, 0)
@@ -136,195 +75,17 @@ func MergeStreamPar(sources []Source, opt StreamOptions) (Sequence, int64, int64
 	if opt.Sats {
 		out.Sats = make([]uint64, 0)
 	}
-	handoff := opt.Snapshot != nil && opt.Pool != nil && !opt.Pool.Sequential()
-	winner := t.initNode(1)
-	first := true
-	for {
-		w := t.head(winner)
-		if w == nil {
-			break
-		}
-		if first {
-			first = false
-			if opt.OnFirstOutput != nil {
-				opt.OnFirstOutput()
-			}
-		}
-		out.Strings = append(out.Strings, w)
+	_, work, _ := MergeStreamSink(sources, opt, func(s []byte, lcp int32, sat uint64) error {
+		out.Strings = append(out.Strings, s)
 		if opt.LCP {
-			out.LCPs = append(out.LCPs, t.curH[winner])
+			out.LCPs = append(out.LCPs, lcp)
 		}
 		if opt.Sats {
-			out.Sats = append(out.Sats, t.srcs[winner].HeadSat())
+			out.Sats = append(out.Sats, sat)
 		}
-		// Advance the winner's stream; the new head's LCP with the last
-		// output is the stream's own LCP entry (see emit in merge.go).
-		t.srcs[winner].Advance()
-		t.fetched[winner] = false
-		if t.useLCP {
-			if t.head(winner) != nil {
-				t.curH[winner] = t.srcs[winner].HeadLCP()
-			} else {
-				t.curH[winner] = 0
-			}
-		}
-		// Replay the path from the winner's leaf to the root.
-		node := (winner + t.k) / 2
-		for node >= 1 {
-			if t.less(t.loser[node], winner) {
-				t.loser[node], winner = winner, t.loser[node]
-			}
-			node /= 2
-		}
-		// The tree is at a clean boundary (output emitted, stream advanced,
-		// path replayed): the right moment to hand the rest to the pool.
-		if handoff && len(out.Strings)%handoffPollEvery == 0 {
-			if rem, ok := opt.Snapshot(); ok {
-				t.winner = winner
-				return finishPartitioned(t, rem, out, opt)
-			}
-		}
-	}
-	if opt.LCP && len(out.LCPs) > 0 {
-		out.LCPs[0] = 0
-	}
-	work := t.work
-	t.release()
-	return out, work, 0
-}
-
-// finishPartitioned completes a streaming merge whose exchange has fully
-// arrived: the live streamTree state is transplanted onto an eager tree
-// over the materialized remainders (partition 0 — the sequential
-// continuation), and further partitions are cut by multisequence selection
-// and reseeded from their predecessor element exactly like MergePar. The
-// returned work (prefix + all partitions), output strings, LCPs and
-// satellites are byte-identical to the fully sequential streaming merge.
-// Releases t's pooled state.
-func finishPartitioned(t *streamTree, rem []Sequence, prefix Sequence, opt StreamOptions) (Sequence, int64, int64) {
-	total := 0
-	for _, s := range rem {
-		total += s.Len()
-	}
-	if total == 0 {
-		// The remainder is empty: the next head pull would have ended the
-		// loop anyway.
-		if opt.LCP && len(prefix.LCPs) > 0 {
-			prefix.LCPs[0] = 0
-		}
-		work := t.work
-		t.release()
-		return prefix, work, 0
-	}
-
-	done := prefix.Len()
-	out := Sequence{Strings: make([][]byte, done+total)}
-	copy(out.Strings, prefix.Strings)
-	if opt.LCP {
-		out.LCPs = make([]int32, done+total)
-		copy(out.LCPs, prefix.LCPs)
-	}
-	if opt.Sats {
-		out.Sats = make([]uint64, done+total)
-		copy(out.Sats, prefix.Sats)
-	}
-
-	// Transplant the live tree: rem[s].Strings[0] is the same arena slice
-	// as the cached head of stream s, so an eager tree at pos=0 with the
-	// streaming tree's losers, curH and winner is the exact continuation.
-	et := newTree(rem, opt.LCP)
-	if et.k != t.k {
-		panic("merge: handoff tree size mismatch")
-	}
-	copy(et.loser, t.loser)
-	copy(et.curH, t.curH)
-	et.winner = t.winner
-	et.work = t.work
-	t.release()
-
-	pool := opt.Pool
-	parts := 1
-	if min := resolveParMin(opt.ParMin); min >= 0 && total >= min {
-		if parts = pool.Cores(); parts > total {
-			parts = total
-		}
-	}
-
-	if parts <= 1 {
-		// Too little left to partition: finish on the transplanted tree.
-		var lcps []int32
-		if opt.LCP {
-			lcps = out.LCPs[done:]
-		}
-		var sats []uint64
-		if opt.Sats {
-			sats = out.Sats[done:]
-		}
-		et.emit(total, out.Strings[done:], lcps, sats)
-		work := et.work
-		et.release()
-		if opt.LCP {
-			out.LCPs[0] = 0
-		}
-		return out, work, 0
-	}
-
-	runs := make([][][]byte, len(rem))
-	for i, s := range rem {
-		runs[i] = s.Strings
-	}
-	cuts := partition.SplitPoints(runs, nil, parts)
-	bounds := make([]int, parts+1)
-	for j := 1; j <= parts; j++ {
-		n := 0
-		for q := range runs {
-			n += cuts[j][q]
-		}
-		bounds[j] = n
-	}
-	if opt.Hooks.OnPartition != nil {
-		opt.Hooks.OnPartition(bounds)
-	}
-
-	works := make([]int64, parts)
-	busy := pool.ForEachObs(parts, func(j int) {
-		lo, hi := bounds[j], bounds[j+1]
-		if lo == hi {
-			// Unreachable (parts ≤ total makes every bound strictly
-			// increasing), but partition 0's prefix work must never be lost.
-			if j == 0 {
-				works[j] = et.work
-				et.release()
-			}
-			return
-		}
-		var lcps []int32
-		if opt.LCP {
-			lcps = out.LCPs[done+lo : done+hi]
-		}
-		var sats []uint64
-		if opt.Sats {
-			sats = out.Sats[done+lo : done+hi]
-		}
-		pt := et // partition 0 continues the transplanted tree
-		if j > 0 {
-			pt = newTree(rem, opt.LCP)
-			copy(pt.pos, cuts[j])
-			pt.reseed(predecessor(rem, cuts[j]))
-		}
-		pt.emit(hi-lo, out.Strings[done+lo:done+hi], lcps, sats)
-		works[j] = pt.work
-		pt.release()
-	}, opt.Hooks.Obs)
-
-	var work int64
-	for _, w := range works {
-		work += w
-	}
-	if opt.LCP {
-		out.LCPs[0] = 0
-	}
-	return out, work, busy
+		return nil
+	})
+	return out, work
 }
 
 // streamTree is the loser tree of merge.go with the head cache pulled from
@@ -340,7 +101,6 @@ type streamTree struct {
 	curH    []int32
 	useLCP  bool
 	work    int64
-	winner  int // stashed at handoff time for the transplant
 	state   *treeState
 }
 
@@ -393,8 +153,7 @@ func (t *streamTree) initNode(node int) int {
 
 // SliceSource adapts a fully materialized Sequence to the Source
 // interface: the eager inputs replayed through the streaming front-end,
-// used by the differential tests and by callers that mix ready and
-// arriving runs.
+// used by the differential tests and the benchmark's merge ledger.
 type SliceSource struct {
 	Seq Sequence
 	pos int

@@ -138,7 +138,7 @@ func TestMaxMergeLeadNS(t *testing.T) {
 	mk := func(start, done int64) *PE {
 		return &PE{MergeStartNS: start, ExchangeDoneNS: done}
 	}
-	// No milestones recorded (eager seams) → 0.
+	// No milestones recorded (in-RAM runs) → 0.
 	r := NewReport([]*PE{mk(0, 0), mk(0, 0)}, DefaultModel())
 	if r.MaxMergeLeadNS() != 0 {
 		t.Fatalf("unrecorded milestones: lead %d, want 0", r.MaxMergeLeadNS())

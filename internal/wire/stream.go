@@ -30,10 +30,6 @@ const (
 	// RunStringsLCP is the EncodeStringsLCP layout: count, then per string
 	// the LCP with the predecessor and the remaining suffix (MS).
 	RunStringsLCP
-	// RunTagged is the (string, uint64) pair layout of hQuick's
-	// redistribution payloads: count, then per item a length-prefixed
-	// string followed by a varint tag.
-	RunTagged
 	// RunPrefixOrigins is PDMS's composite layout: a length-prefixed
 	// RunStringsLCP blob followed by a length-prefixed origin blob (count,
 	// then one varint origin per string). Strings become available only
@@ -44,7 +40,7 @@ const (
 
 // Item is one decoded string of a run: the string itself, its LCP with the
 // run's previous string (0 for the first, and always 0 for non-LCP
-// formats), and its satellite word (tag or origin; 0 for plain formats).
+// formats), and its satellite word (the origin; 0 for plain formats).
 type Item struct {
 	S   []byte
 	LCP int32
@@ -384,7 +380,7 @@ func (r *RunReader) item() status {
 		return 0, r.short(capped)
 	}
 
-	var h, length, sat uint64
+	var h, length uint64
 	var s status
 	switch r.format {
 	case RunStringsLCP, RunPrefixOrigins:
@@ -394,7 +390,7 @@ func (r *RunReader) item() status {
 		if length, s = next(); s != stOK {
 			return s
 		}
-	default: // RunStrings, RunTagged
+	default: // RunStrings
 		if length, s = next(); s != stOK {
 			return s
 		}
@@ -404,11 +400,6 @@ func (r *RunReader) item() status {
 	}
 	body := win[pos : pos+int(length)]
 	pos += int(length)
-	if r.format == RunTagged {
-		if sat, s = next(); s != stOK {
-			return s
-		}
-	}
 
 	switch r.format {
 	case RunStringsLCP, RunPrefixOrigins:
@@ -429,7 +420,7 @@ func (r *RunReader) item() status {
 		off := len(r.arena)
 		r.arena = append(r.arena, body...)
 		end := len(r.arena)
-		r.items = append(r.items, Item{S: r.arena[off:end:end], Sat: sat})
+		r.items = append(r.items, Item{S: r.arena[off:end:end]})
 	}
 	r.consume(pos)
 	return stOK

@@ -32,26 +32,6 @@ func oneShot(format RunFormat, msg []byte) ([]Item, error) {
 			items[i] = Item{S: s, LCP: lcps[i]}
 		}
 		return items, nil
-	case RunTagged:
-		// Mirror of core's decodeTagged.
-		r := NewReader(msg)
-		cnt, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		var items []Item
-		for i := uint64(0); i < cnt; i++ {
-			s, err := r.BytesPrefixed()
-			if err != nil {
-				return nil, err
-			}
-			u, err := r.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, Item{S: append([]byte(nil), s...), Sat: u})
-		}
-		return items, nil
 	case RunPrefixOrigins:
 		// Mirror of PDMS's eager exchange decode.
 		r := NewReader(msg)
@@ -143,14 +123,6 @@ func encodeRun(format RunFormat, ss [][]byte, sats []uint64) []byte {
 		return EncodeStrings(ss)
 	case RunStringsLCP:
 		return EncodeStringsLCP(ss, lcps)
-	case RunTagged:
-		w := NewBuffer(64)
-		w.Uvarint(uint64(len(ss)))
-		for i, s := range ss {
-			w.BytesPrefixed(s)
-			w.Uvarint(sats[i])
-		}
-		return w.Bytes()
 	case RunPrefixOrigins:
 		blob := EncodeStringsLCP(ss, lcps)
 		var msg []byte
@@ -168,7 +140,7 @@ func encodeRun(format RunFormat, ss [][]byte, sats []uint64) []byte {
 	panic("unknown format")
 }
 
-var runFormats = []RunFormat{RunStrings, RunStringsLCP, RunTagged, RunPrefixOrigins}
+var runFormats = []RunFormat{RunStrings, RunStringsLCP, RunPrefixOrigins}
 
 // testRuns are the string-set shapes every format is exercised with.
 func testRuns() [][][]byte {
@@ -345,11 +317,11 @@ func FuzzRunReader(f *testing.F) {
 			f.Add(uint8(format), uint8(3), encodeRun(format, ss, sats))
 		}
 	}
-	f.Add(uint8(RunStringsLCP), uint8(1), []byte{2, 0, 3, 'a', 'b', 'c', 9, 1})  // lcp 9 > prev len
-	f.Add(uint8(RunPrefixOrigins), uint8(2), []byte{200, 1, 0, 3, 'x'})          // blob longer than msg
-	f.Add(uint8(RunTagged), uint8(1), bytes.Repeat([]byte{0xff}, 16))            // varint overflow
+	f.Add(uint8(RunStringsLCP), uint8(1), []byte{2, 0, 3, 'a', 'b', 'c', 9, 1}) // lcp 9 > prev len
+	f.Add(uint8(RunPrefixOrigins), uint8(2), []byte{200, 1, 0, 3, 'x'})         // blob longer than msg
+	f.Add(uint8(RunStrings), uint8(1), bytes.Repeat([]byte{0xff}, 16))          // varint overflow
 	f.Fuzz(func(t *testing.T, f8, width8 uint8, msg []byte) {
-		format := RunFormat(f8 % 4)
+		format := RunFormat(f8 % 3)
 		width := int(width8%16) + 1
 		want, wantErr := oneShot(format, msg)
 		var cuts []int

@@ -159,10 +159,62 @@ func TestBudgetDifferential(t *testing.T) {
 	}
 }
 
+// TestStreamingMergeEmptyStrings is the regression test of the nil-head
+// bug: a run whose FIRST string is empty must not be mistaken for an
+// exhausted source (nil is the loser tree's +∞ sentinel — see the
+// merge.Source contract). Empty strings sort first, so they land exactly
+// at the head of rank 0's runs; the budget pipeline's streaming merge must
+// deliver every string, byte- and stat-identical to the in-RAM run, for
+// all algorithms, with the runs resident and spilled alike.
+func TestStreamingMergeEmptyStrings(t *testing.T) {
+	inputs := [][][]byte{
+		{[]byte(""), []byte("b"), []byte("")},
+		{[]byte("a"), []byte(""), []byte("c")},
+		{[]byte(""), []byte("")},
+		{[]byte("d")},
+	}
+	for _, algo := range Algorithms {
+		base := Config{Algorithm: algo, Seed: 3, Validate: true, StreamChunk: 2}
+		ref, err := Sort(inputs, base)
+		if err != nil {
+			t.Fatalf("%v in-RAM: %v", algo, err)
+		}
+		if n := len(sortOutputs(ref)); n != 9 {
+			t.Fatalf("%v in-RAM: %d strings, want 9", algo, n)
+		}
+		for _, budget := range []int64{testBudget, 1} {
+			cfg := budgetConfig(base, t.TempDir())
+			cfg.MemBudget = budget
+			res, err := Sort(inputs, cfg)
+			if err != nil {
+				t.Fatalf("%v budget=%d: %v", algo, budget, err)
+			}
+			var got [][]byte
+			for pe, out := range res.PEs {
+				ss, _, _, err := ReadRunFile(out.RunFile)
+				if err != nil {
+					t.Fatalf("%v budget=%d: PE %d: %v", algo, budget, pe, err)
+				}
+				if !equalOutputs(ss, ref.PEs[pe].Strings) {
+					t.Fatalf("%v budget=%d: PE %d dropped or reordered strings on empty-string input", algo, budget, pe)
+				}
+				got = append(got, ss...)
+			}
+			if len(got) != 9 {
+				t.Fatalf("%v budget=%d: %d strings, want 9", algo, budget, len(got))
+			}
+			if budgetInvariant(res.Stats) != budgetInvariant(ref.Stats) {
+				t.Fatalf("%v budget=%d: deterministic statistics differ on empty-string input", algo, budget)
+			}
+		}
+	}
+}
+
 // TestBudgetAcrossSeamsAndTransports pins the spilling run's output and
 // deterministic statistics across the exchange seams (split vs blocking),
-// the merge front-ends (eager vs streaming flag — budget mode runs the
-// chunked machinery either way) and the transports (local vs TCP).
+// the transports (local vs TCP) and a wire codec below the chunked
+// exchange (whose wire counters legitimately differ, so only they are
+// exempt from the comparison in that cell).
 func TestBudgetAcrossSeamsAndTransports(t *testing.T) {
 	rng := rand.New(rand.NewSource(809))
 	inputs := genInputs(rng, testPEs, testPerPE)
@@ -173,10 +225,10 @@ func TestBudgetAcrossSeamsAndTransports(t *testing.T) {
 		mut  func(*Config)
 	}
 	variants := []variant{
-		{"eager-local", func(c *Config) {}},
-		{"streaming-local", func(c *Config) { c.StreamingMerge = true }},
+		{"split-local", func(c *Config) {}},
 		{"blocking-local", func(c *Config) { c.BlockingExchange = true }},
-		{"eager-tcp", func(c *Config) { c.Transport = TransportTCP }},
+		{"split-tcp", func(c *Config) { c.Transport = TransportTCP }},
+		{"split-tcp-lcp", func(c *Config) { c.Transport = TransportTCP; c.Codec = "lcp" }},
 	}
 	var refOut [][][]byte
 	var refStats Stats
@@ -207,7 +259,11 @@ func TestBudgetAcrossSeamsAndTransports(t *testing.T) {
 				t.Fatalf("%s: PE %d output differs from %s", v.name, pe, variants[0].name)
 			}
 		}
-		if got, want := budgetInvariant(res.Stats), budgetInvariant(refStats); got != want {
+		got, want := budgetInvariant(res.Stats), budgetInvariant(refStats)
+		if cfg.Codec != "" {
+			got, want = deterministicNoWire(got), deterministicNoWire(want)
+		}
+		if got != want {
 			t.Fatalf("%s: deterministic stats differ from %s:\n%+v\n%+v", v.name, variants[0].name, got, want)
 		}
 	}

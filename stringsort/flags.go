@@ -30,7 +30,6 @@ type TuningFlags struct {
 	TieBreak     *bool
 	RandomSample *bool
 	Exchange     *string
-	Merge        *string
 	MergeChunk   *int
 	Codec        *string
 	CodecMin     *int
@@ -60,8 +59,7 @@ func RegisterTuningFlags(fs *flag.FlagSet) *TuningFlags {
 		TieBreak:     fs.Bool("tiebreak", false, "partition by (string, origin) pairs to spread duplicates"),
 		RandomSample: fs.Bool("randomsample", false, "random instead of regular splitter samples"),
 		Exchange:     fs.String("exchange", "split", "Step-3 seam: split (overlap exchange with merge decode) or blocking (bulk-synchronous)"),
-		Merge:        fs.String("merge", "eager", "Step-4 front-end: eager (merge fully decoded runs) or streaming (loser tree starts on partially decoded runs)"),
-		MergeChunk:   fs.Int("merge-chunk", 0, "streaming frame payload bound in bytes (0 = default 8 KiB; only with -merge=streaming)"),
+		MergeChunk:   fs.Int("merge-chunk", 0, "chunked-exchange frame payload bound in bytes (0 = default 8 KiB; only with -mem-budget)"),
 		Codec:        fs.String("codec", "none", "wire codec decorating the transport: "+codec.Names()+" (model stats unaffected)"),
 		CodecMin:     fs.Int("codec-min", codec.DefaultMinSize, "frames smaller than this many bytes ship uncompressed"),
 		Validate:     fs.Bool("validate", false, "run the distributed verifier after sorting"),
@@ -89,10 +87,6 @@ func (tf *TuningFlags) Apply(cfg *Config) error {
 	if err != nil {
 		return err
 	}
-	streaming, err := ParseMergeMode(*tf.Merge)
-	if err != nil {
-		return err
-	}
 	codecName, err := codec.Parse(*tf.Codec)
 	if err != nil {
 		return err
@@ -112,7 +106,6 @@ func (tf *TuningFlags) Apply(cfg *Config) error {
 	cfg.TieBreak = *tf.TieBreak
 	cfg.RandomSampling = *tf.RandomSample
 	cfg.BlockingExchange = blocking
-	cfg.StreamingMerge = streaming
 	cfg.StreamChunk = *tf.MergeChunk
 	cfg.Validate = *tf.Validate
 	cfg.Cores = *tf.Cores
@@ -154,20 +147,6 @@ func ParseMemBudget(s string) (int64, error) {
 		return 0, fmt.Errorf("stringsort: bad memory budget %q (want e.g. 65536, 64m, 1g)", orig)
 	}
 	return n * mult, nil
-}
-
-// ParseMergeMode resolves the -merge flag value: "eager" (merge fully
-// decoded runs, the default) or "streaming" (start the loser tree on
-// partially decoded runs), reported as Config.StreamingMerge.
-func ParseMergeMode(name string) (streaming bool, err error) {
-	switch name {
-	case "eager":
-		return false, nil
-	case "streaming", "stream":
-		return true, nil
-	default:
-		return false, fmt.Errorf("stringsort: unknown merge mode %q (have eager, streaming)", name)
-	}
 }
 
 // ParseExchangeMode resolves the -exchange flag value: "split" (the

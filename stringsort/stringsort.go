@@ -209,17 +209,15 @@ type Config struct {
 	// either way; blocking mode exists for differential testing and as the
 	// reference point of the overlap measurements.
 	BlockingExchange bool
-	// StreamingMerge selects the streaming Step-3→Step-4 seam: buckets
-	// ship as chunked transfers feeding incremental run readers, and the
-	// Step-4 loser tree starts on partially decoded runs — merging begins
-	// before the last exchange frame arrives (reported as
-	// Stats.MergeLeadMS). Sorted output and the deterministic statistics
-	// are bit-identical to the eager seam under every transport, codec and
-	// exchange mode; combining with BlockingExchange runs the chunked
-	// machinery bulk-synchronously (the differential reference).
+	// StreamingMerge is kept only so existing callers still compile.
+	//
+	// Deprecated: ignored. In-RAM runs always use the split-phase seam
+	// (or BlockingExchange); the chunked streaming merge survives only as
+	// the MemBudget pipeline.
 	StreamingMerge bool
-	// StreamChunk bounds the streaming frame payload in bytes (0 = the
-	// default, 8 KiB). Only meaningful with StreamingMerge.
+	// StreamChunk bounds the budget pipeline's chunked-exchange frame
+	// payload in bytes (0 = the default, 8 KiB). Only meaningful with
+	// MemBudget.
 	StreamChunk int
 	// Codec names the wire codec decorating the transport ("", "none",
 	// "flate", "lcp"): frames are compressed before they cross the fabric
@@ -268,7 +266,7 @@ type Config struct {
 	SpillPageSize int
 	// Trace, when non-empty, writes a Chrome trace-event JSON timeline of
 	// the run to this file: per-PE phase spans, per-frame transport events,
-	// worker-goroutine busy spans, merge handoff/seam instants and spill
+	// worker-goroutine busy spans, merge seam instants and spill
 	// counter samples, loadable in Perfetto (ui.perfetto.dev) or
 	// chrome://tracing. Tracing never touches the deterministic statistics
 	// — model time and bytes/string stay bit-identical with tracing on or
@@ -359,11 +357,11 @@ type Stats struct {
 	// WallMS is the slowest PE's total wall-clock time in ms (measured, not
 	// modeled).
 	WallMS float64
-	// MergeLeadMS is the streaming seam's merge lead: the largest per-PE
-	// span between the loser tree's first merged output and that PE's LAST
-	// Step-3 frame arrival, in ms. Positive means merging demonstrably
-	// began while exchange frames were still in flight; 0 under the eager
-	// seams (the milestone is not recorded there). Measured, not modeled.
+	// MergeLeadMS is the budget pipeline's merge lead: the largest per-PE
+	// span between the sink merge's first output and that PE's LAST Step-3
+	// frame arrival, in ms. Positive means merging demonstrably began while
+	// exchange frames were still in flight; 0 for in-RAM runs (the
+	// milestone is not recorded there). Measured, not modeled.
 	MergeLeadMS float64
 	// WallTable is the human-readable per-phase breakdown of the measured
 	// wall spans and overlap (nondeterministic, like OverlapMS/WallMS).
@@ -431,7 +429,7 @@ func (st Stats) WriteSummary(w io.Writer, algo Algorithm, machine string, n int)
 	fmt.Fprintf(w, "wall time:        %.3f ms (slowest PE)\n", st.WallMS)
 	fmt.Fprintf(w, "overlap:          %.3f ms max per PE, %.3f PE-ms summed (comm hidden under compute)\n",
 		st.MaxOverlapMS, st.OverlapMS)
-	fmt.Fprintf(w, "merge lead:       %.3f ms (first merged string ahead of the last Step-3 frame; 0 = eager seam)\n",
+	fmt.Fprintf(w, "merge lead:       %.3f ms (first merged string ahead of the last Step-3 frame; 0 = in-RAM run)\n",
 		st.MergeLeadMS)
 	fmt.Fprintf(w, "merge par:        %.3f PE-ms merge CPU over %.3f ms merge wall (CPU > wall = partitioned merge engaged)\n",
 		st.MergeCPUMS, st.MergeWallMS)
@@ -734,13 +732,12 @@ func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *spill.
 		return core.HQuick(c, ss, core.HQOptions{
 			GroupID: 1, Seed: cfg.Seed, TrackPhases: true,
 			BlockingExchange: cfg.BlockingExchange,
-			StreamingMerge:   cfg.StreamingMerge, StreamChunk: cfg.StreamChunk,
-			Spill: sp, Out: out,
+			Spill:            sp, Out: out,
 		})
 	case FKMerge:
 		return core.FKMerge(c, ss, core.FKOptions{
 			GroupID: 1, BlockingExchange: cfg.BlockingExchange,
-			StreamingMerge: cfg.StreamingMerge, StreamChunk: cfg.StreamChunk,
+			StreamChunk: cfg.StreamChunk,
 			ParMergeMin: cfg.ParMergeMin,
 			Spill:       sp, Out: out,
 		})
@@ -753,7 +750,6 @@ func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *spill.
 		o.TieBreak = cfg.TieBreak
 		o.RandomSampling = cfg.RandomSampling
 		o.BlockingExchange = cfg.BlockingExchange
-		o.StreamingMerge = cfg.StreamingMerge
 		o.StreamChunk = cfg.StreamChunk
 		o.ParMergeMin = cfg.ParMergeMin
 		o.Spill = sp
@@ -768,7 +764,6 @@ func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *spill.
 		o.TieBreak = cfg.TieBreak
 		o.RandomSampling = cfg.RandomSampling
 		o.BlockingExchange = cfg.BlockingExchange
-		o.StreamingMerge = cfg.StreamingMerge
 		o.StreamChunk = cfg.StreamChunk
 		o.ParMergeMin = cfg.ParMergeMin
 		o.Spill = sp
@@ -787,7 +782,6 @@ func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *spill.
 			o.StringSamplingOverride = false
 		}
 		o.BlockingExchange = cfg.BlockingExchange
-		o.StreamingMerge = cfg.StreamingMerge
 		o.StreamChunk = cfg.StreamChunk
 		o.ParMergeMin = cfg.ParMergeMin
 		o.Spill = sp

@@ -74,21 +74,22 @@ func countEvents(doc traceDoc, name, ph string) int {
 
 // TestSortTraceTimeline runs an in-process PDMS sort with tracing and
 // checks the exported timeline end to end: valid JSON, one process track
-// per PE with all five phase spans, per-frame transport events from the
-// streaming exchange, the merge milestones, and balanced begin/end pairs.
+// per PE with all five phase spans, the split-phase exchange's post/done
+// instants, raw billing instants, and balanced begin/end pairs. The
+// chunked exchange's per-frame events and the merge-start milestone
+// belong to the budget pipeline and are checked by TestSortTraceSpill.
 func TestSortTraceTimeline(t *testing.T) {
 	const p = 4
 	inputs := testInputs(p, 300)
 	path := filepath.Join(t.TempDir(), "trace.json")
 	res, err := Sort(inputs, Config{
-		Algorithm:      PDMS,
-		StreamingMerge: true,
-		Trace:          path,
+		Algorithm: PDMS,
+		Trace:     path,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	untraced, err := Sort(inputs, Config{Algorithm: PDMS, StreamingMerge: true})
+	untraced, err := Sort(inputs, Config{Algorithm: PDMS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +111,9 @@ func TestSortTraceTimeline(t *testing.T) {
 		}
 	}
 	for _, want := range []struct{ name, ph string }{
-		{"frame-send", "i"},  // chunked exchange frames out
-		{"frame-recv", "i"},  // ... and in
-		{"send", "i"},        // raw billing instants
-		{"merge-start", "i"}, // first merged output milestone
-		{"IAlltoallvChunked post", "i"},
+		{"send", "i"}, // raw billing instants
+		{"IAlltoallv post", "i"},
+		{"IAlltoallv done", "i"},
 	} {
 		if countEvents(doc, want.name, want.ph) == 0 {
 			t.Errorf("no %q (%s) events in the trace", want.name, want.ph)
@@ -181,9 +180,10 @@ func TestSortTraceWorkerTracks(t *testing.T) {
 	}
 }
 
-// TestSortTraceSpill asserts the spill hooks: a run forced out of core
-// must put spill-flush/spill-pagein instants and counter samples on the
-// spill track.
+// TestSortTraceSpill asserts the budget pipeline's hooks: a run forced out
+// of core must put spill-flush instants and counter samples on the spill
+// track, per-frame events of the chunked exchange on the control track,
+// and the sink merge's merge-start milestone.
 func TestSortTraceSpill(t *testing.T) {
 	inputs := testInputs(4, 2000)
 	path := filepath.Join(t.TempDir(), "trace.json")
@@ -209,6 +209,16 @@ func TestSortTraceSpill(t *testing.T) {
 	if countEvents(doc, "spill_written", "C") == 0 {
 		t.Errorf("spilling run recorded no spill_written counter samples")
 	}
+	for _, want := range []string{
+		"IAlltoallvChunked post",
+		"frame-send",  // chunked exchange frames out
+		"frame-recv",  // ... and in
+		"merge-start", // first merged output milestone
+	} {
+		if countEvents(doc, want, "i") == 0 {
+			t.Errorf("no %q instants in the budget run's trace", want)
+		}
+	}
 }
 
 // TestRunPETraceAggregation is the cross-process aggregation path, run
@@ -232,9 +242,8 @@ func TestRunPETraceAggregation(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			_, errs[rank] = RunPE(fab.Endpoint(rank), inputs[rank], Config{
-				Algorithm:      PDMS,
-				StreamingMerge: true,
-				Trace:          path,
+				Algorithm: PDMS,
+				Trace:     path,
 			})
 		}(rank)
 	}

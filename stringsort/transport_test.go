@@ -51,35 +51,44 @@ func deterministic(st Stats) Stats {
 }
 
 // TestTCPBackendMatchesLocal runs the same sort over the in-process mailbox
-// substrate and over real loopback TCP sockets and requires byte-identical
-// output and bit-identical statistics: byte accounting lives at the comm
-// layer, so model-ms and bytes/str must not depend on the wire.
+// substrate and over real loopback TCP sockets, for every algorithm under
+// both Step-3 seams, and requires byte-identical output and bit-identical
+// statistics: byte accounting lives at the comm layer, so model-ms and
+// bytes/str must not depend on the wire. In-RAM runs never record the
+// merge-lead milestones, so their lead must read zero.
 func TestTCPBackendMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	inputs := genInputs(rng, 4, 120)
-	for _, algo := range []Algorithm{MS, HQuick, PDMSGolomb} {
-		base := Config{Algorithm: algo, Seed: 11, Validate: true, Reconstruct: true}
+	for _, algo := range Algorithms {
+		for _, blocking := range []bool{false, true} {
+			base := Config{Algorithm: algo, Seed: 11, Validate: true, Reconstruct: true, BlockingExchange: blocking}
+			cell := fmt.Sprintf("%v blocking=%v", algo, blocking)
 
-		cfgLocal := base
-		cfgLocal.Transport = TransportLocal
-		resLocal, err := Sort(inputs, cfgLocal)
-		if err != nil {
-			t.Fatalf("%v local: %v", algo, err)
-		}
+			cfgLocal := base
+			cfgLocal.Transport = TransportLocal
+			resLocal, err := Sort(inputs, cfgLocal)
+			if err != nil {
+				t.Fatalf("%s local: %v", cell, err)
+			}
 
-		cfgTCP := base
-		cfgTCP.Transport = TransportTCP
-		resTCP, err := Sort(inputs, cfgTCP)
-		if err != nil {
-			t.Fatalf("%v tcp: %v", algo, err)
-		}
+			cfgTCP := base
+			cfgTCP.Transport = TransportTCP
+			resTCP, err := Sort(inputs, cfgTCP)
+			if err != nil {
+				t.Fatalf("%s tcp: %v", cell, err)
+			}
 
-		if !equalOutputs(sortOutputs(resLocal), sortOutputs(resTCP)) {
-			t.Fatalf("%v: TCP output differs from local output", algo)
-		}
-		if deterministic(resLocal.Stats) != deterministic(resTCP.Stats) {
-			t.Fatalf("%v: statistics differ across transports:\nlocal: %+v\ntcp:   %+v",
-				algo, resLocal.Stats, resTCP.Stats)
+			if !equalOutputs(sortOutputs(resLocal), sortOutputs(resTCP)) {
+				t.Fatalf("%s: TCP output differs from local output", cell)
+			}
+			if deterministic(resLocal.Stats) != deterministic(resTCP.Stats) {
+				t.Fatalf("%s: statistics differ across transports:\nlocal: %+v\ntcp:   %+v",
+					cell, resLocal.Stats, resTCP.Stats)
+			}
+			if resLocal.Stats.MergeLeadMS != 0 || resTCP.Stats.MergeLeadMS != 0 {
+				t.Fatalf("%s: in-RAM run reported a merge lead (local %.3f ms, tcp %.3f ms); must be zero",
+					cell, resLocal.Stats.MergeLeadMS, resTCP.Stats.MergeLeadMS)
+			}
 		}
 	}
 }
