@@ -160,23 +160,28 @@ func main() {
 	fmt.Printf("\n(total harness wall time: %v)\n", time.Since(start).Round(time.Millisecond))
 }
 
-// runOne sorts the given distributed input and returns its statistics.
-func runOne(inputs [][][]byte, algo stringsort.Algorithm, seed uint64, charSampling bool, codec string) stringsort.Stats {
-	res, err := stringsort.Sort(inputs, stringsort.Config{
-		Algorithm:    algo,
-		Seed:         seed,
-		Cores:        benchCores,
-		CharSampling: charSampling,
-		Codec:        codec,
-		Trace:        benchTracePath(algo, len(inputs)),
-		Chaos:        benchChaos,
-		ChaosSeed:    benchChaosSeed,
-	})
+// benchConfig is the Config every sort of the harness starts from: the
+// cell's algorithm and seed plus the harness-wide -cores, -trace and
+// -chaos knobs. Each experiment sets only the field it sweeps.
+func benchConfig(algo stringsort.Algorithm, p int, seed uint64) stringsort.Config {
+	return stringsort.Config{
+		Algorithm: algo,
+		Seed:      seed,
+		Cores:     benchCores,
+		Trace:     benchTracePath(algo, p),
+		Chaos:     benchChaos,
+		ChaosSeed: benchChaosSeed,
+	}
+}
+
+// sortOrExit runs one harness sort, exiting the process on failure.
+func sortOrExit(inputs [][][]byte, cfg stringsort.Config) *stringsort.Result {
+	res, err := stringsort.Sort(inputs, cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v failed: %v\n", algo, err)
+		fmt.Fprintf(os.Stderr, "%v failed: %v\n", cfg.Algorithm, err)
 		profiling.Exit(1)
 	}
-	return res.Stats
+	return res
 }
 
 // series runs all algorithms over the PE axis and prints the two panels of
@@ -200,7 +205,9 @@ func series(title string, pes []int, gen func(pe, p int) [][]byte, seed uint64, 
 			inputs[pe] = gen(pe, p)
 		}
 		for _, algo := range algos {
-			st := runOne(inputs, algo, seed, false, codec)
+			cfg := benchConfig(algo, p, seed)
+			cfg.Codec = codec
+			st := sortOrExit(inputs, cfg).Stats
 			times[algo] = append(times[algo], st.ModelTime)
 			vols[algo] = append(vols[algo], st.BytesPerString)
 			wires[algo] = append(wires[algo], st.WireBytesPerString)
@@ -309,19 +316,9 @@ func skewExperiment(opt options) {
 		}
 		row := make([]float64, 0, 4)
 		for _, char := range []bool{false, true} {
-			res, err := stringsort.Sort(inputs, stringsort.Config{
-				Algorithm:    stringsort.MS,
-				Seed:         uint64(opt.seed),
-				CharSampling: char,
-				Cores:        benchCores,
-				Trace:        benchTracePath(stringsort.MS, p),
-				Chaos:        benchChaos,
-				ChaosSeed:    benchChaosSeed,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				profiling.Exit(1)
-			}
+			cfg := benchConfig(stringsort.MS, p, uint64(opt.seed))
+			cfg.CharSampling = char
+			res := sortOrExit(inputs, cfg)
 			recvImbal := 1.0
 			if res.Stats.MeanBytesRecv > 0 {
 				recvImbal = float64(res.Stats.MaxBytesRecv) / res.Stats.MeanBytesRecv
@@ -343,19 +340,9 @@ func ablationOversampling(opt options) {
 	}
 	fmt.Printf("%-6s %14s %14s %12s\n", "v", "model time", "bytes/string", "imbalance")
 	for _, v := range []int{2, 4, 8, 16, 32, 64} {
-		res, err := stringsort.Sort(inputs, stringsort.Config{
-			Algorithm:    stringsort.MS,
-			Seed:         uint64(opt.seed),
-			Oversampling: v,
-			Cores:        benchCores,
-			Trace:        benchTracePath(stringsort.MS, p),
-			Chaos:        benchChaos,
-			ChaosSeed:    benchChaosSeed,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			profiling.Exit(1)
-		}
+		cfg := benchConfig(stringsort.MS, p, uint64(opt.seed))
+		cfg.Oversampling = v
+		res := sortOrExit(inputs, cfg)
 		fmt.Printf("%-6d %14.4f %14.1f %12.3f\n", v, res.Stats.ModelTime,
 			res.Stats.BytesPerString, res.Stats.Imbalance)
 	}
@@ -372,19 +359,9 @@ func ablationEps(opt options) {
 	}
 	fmt.Printf("%-6s %14s %14s\n", "eps", "model time", "bytes/string")
 	for _, eps := range []float64{0.5, 1, 2, 3} {
-		res, err := stringsort.Sort(inputs, stringsort.Config{
-			Algorithm: stringsort.PDMS,
-			Seed:      uint64(opt.seed),
-			Eps:       eps,
-			Cores:     benchCores,
-			Trace:     benchTracePath(stringsort.PDMS, p),
-			Chaos:     benchChaos,
-			ChaosSeed: benchChaosSeed,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			profiling.Exit(1)
-		}
+		cfg := benchConfig(stringsort.PDMS, p, uint64(opt.seed))
+		cfg.Eps = eps
+		res := sortOrExit(inputs, cfg)
 		fmt.Printf("%-6.1f %14.4f %14.1f\n", eps, res.Stats.ModelTime, res.Stats.BytesPerString)
 	}
 }
@@ -414,19 +391,9 @@ func ablationTieBreak(opt options) {
 		}
 		row := make([]float64, 0, 4)
 		for _, tie := range []bool{false, true} {
-			res, err := stringsort.Sort(inputs, stringsort.Config{
-				Algorithm: stringsort.MS,
-				Seed:      uint64(opt.seed),
-				TieBreak:  tie,
-				Cores:     benchCores,
-				Trace:     benchTracePath(stringsort.MS, p),
-				Chaos:     benchChaos,
-				ChaosSeed: benchChaosSeed,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				profiling.Exit(1)
-			}
+			cfg := benchConfig(stringsort.MS, p, uint64(opt.seed))
+			cfg.TieBreak = tie
+			res := sortOrExit(inputs, cfg)
 			// Fragment-size imbalance: duplicates are nearly free to
 			// *transmit* under LCP compression, but they still pile onto
 			// one PE's output (and its merge) without tie breaking.

@@ -23,10 +23,11 @@
 //
 // Flag parity with dss-sort: every tuning flag of dss-sort (-algo, -seed,
 // -oversampling, -charsample, -eps, -tiebreak, -randomsample, -exchange,
-// -merge-chunk, -codec, -codec-min, -validate, -mem-budget, -spill-dir,
-// -trace, -trace-cap, -chaos, -chaos-seed, -net-retries, -net-timeout) is
-// accepted here with identical semantics — both binaries
-// register the same stringsort.RegisterTuningFlags set. -net-retries and
+// -merge-chunk, -codec, -validate, -mem-budget, -spill-dir, -trace,
+// -trace-cap, -chaos, -chaos-seed, -net-retries, -net-timeout) is
+// accepted here with identical semantics — both binaries register the
+// same stringsort.RegisterTuningFlags set (-charsample reaches the MS
+// family and PDMS alike). -net-retries and
 // -net-timeout shape the worker's reconnect-with-resend behavior when an
 // established peer connection drops mid-run; the run's stats report the
 // recovery volume on the `net:` line.

@@ -25,19 +25,52 @@
 // overlaps the decode work instead of ending at a global barrier. The
 // deterministic statistics are unaffected — received bytes are billed to
 // the phase the exchange was posted in — and the bulk-synchronous seam
-// remains selectable through the BlockingExchange options as the
-// differential reference. The bounded-memory pipeline (the Spill options,
-// outofcore.go) is the one other seam: a chunked exchange feeding
-// spillable run readers that a sink-mode loser tree drains into a
-// sorted-run file.
+// remains selectable through Seam.BlockingExchange as the differential
+// reference. The bounded-memory pipeline (Seam.Spill, outofcore.go) is
+// the one other seam: a chunked exchange feeding spillable run readers
+// that a sink-mode loser tree drains into a sorted-run file.
 package core
 
 import (
 	"dss/internal/comm"
 	"dss/internal/merge"
+	"dss/internal/spill"
 	"dss/internal/stats"
 	"dss/internal/trace"
 )
+
+// Seam selects how the merge-family sorters (MergeSort, PDMS, FKMerge)
+// move their Step-3 buckets into the Step-4 merge. It is embedded in
+// their option structs; the zero value is the default in-RAM split-phase
+// seam with the default parallel-merge gate.
+type Seam struct {
+	// BlockingExchange selects the bulk-synchronous Step-3 seam
+	// (Alltoallv, then decode) instead of the default split-phase one that
+	// decodes each run on arrival. Deterministic statistics are identical
+	// either way; blocking mode exists for differential testing.
+	BlockingExchange bool
+	// StreamChunk bounds the budget pipeline's chunked-exchange frame
+	// payload in bytes (0 = the comm default; ignored without Spill).
+	// Small values force many frames; tests use them to exercise
+	// resume-mid-frame paths.
+	StreamChunk int
+	// ParMergeMin gates the partitioned parallel Step-4 merge by received
+	// strings: 0 = merge.DefaultParMin, negative = always sequential.
+	// Output and deterministic stats are pool-width-independent either way.
+	ParMergeMin int
+	// Spill, if non-nil, runs the bounded-memory out-of-core pipeline:
+	// Step 3 ships through the chunked exchange, incoming runs spill to
+	// page files once the pool's budget is exceeded, and the Step-4 sink
+	// merge drains into Out (required non-nil with Spill) instead of an
+	// output arena. The deterministic statistics are untouched — they are
+	// seam-invariant and the spill decision only moves measured gauges —
+	// and the result holds Drained instead of Strings. PDMS writes each
+	// prefix's origin into the run file's satellite column; budget-mode
+	// callers resolve full strings by origin instead of Reconstruct.
+	Spill *spill.Pool
+	// Out receives the merged run in budget mode (nil otherwise).
+	Out *spill.RunWriter
+}
 
 // Origin identifies where an output string came from: the PE it was
 // submitted on and its index in that PE's input array. PDMS reports origins

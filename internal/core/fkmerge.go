@@ -5,7 +5,6 @@ import (
 	"dss/internal/merge"
 	"dss/internal/par"
 	"dss/internal/partition"
-	"dss/internal/spill"
 	"dss/internal/stats"
 	"dss/internal/strsort"
 	"dss/internal/wire"
@@ -15,20 +14,7 @@ import (
 type FKOptions struct {
 	// GroupID is the base communicator namespace.
 	GroupID int
-	// BlockingExchange selects the pre-split bulk-synchronous Step-3 seam
-	// instead of the default split-phase decode-on-arrival one (see
-	// MSOptions.BlockingExchange).
-	BlockingExchange bool
-	// StreamChunk bounds the budget pipeline's chunked-exchange frame
-	// payload (see MSOptions.StreamChunk).
-	StreamChunk int
-	// ParMergeMin gates the partitioned parallel Step-4 merge (see
-	// MSOptions.ParMergeMin).
-	ParMergeMin int
-	// Spill runs the bounded-memory out-of-core pipeline (see
-	// MSOptions.Spill); Out receives the merged run.
-	Spill *spill.Pool
-	Out   *spill.RunWriter
+	Seam
 }
 
 // FKMerge is the distributed multiway string mergesort of Fischer and
@@ -81,7 +67,7 @@ func FKMerge(c *comm.Comm, ss [][]byte, opt FKOptions) Result {
 	if opt.Spill != nil {
 		// Bounded-memory pipeline (see MergeSort's budget branch).
 		parts := encodeParts(c, sizes, enc)
-		st := spillRuns(c, g, parts, wire.RunStrings, opt.BlockingExchange, opt.StreamChunk, stats.PhaseMerge, opt.Spill)
+		st := spillRuns(c, g, parts, opt.Seam, wire.RunStrings, false)
 		n, mw := sinkMerge(c, st, false, false, opt.Out)
 		c.AddWork(mw)
 		c.SetPhase(stats.PhaseOther)

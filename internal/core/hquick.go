@@ -26,12 +26,9 @@ type HQOptions struct {
 	// MS/PDMS this stays false so everything is billed to the caller's
 	// phase.
 	TrackPhases bool
-	// PivotSamples is the number of random local candidates contributed to
-	// each pivot reduction (default 3).
-	PivotSamples int
 	// BlockingExchange selects the pre-split bulk-synchronous seam for the
 	// initial random-placement all-to-all instead of the default
-	// split-phase decode-on-arrival one (see MSOptions.BlockingExchange).
+	// split-phase decode-on-arrival one (see Seam.BlockingExchange).
 	BlockingExchange bool
 	// Spill selects budget mode: the sorted fragment streams into Out
 	// (strings, LCPs and origin satellites) instead of materializing a
@@ -44,6 +41,19 @@ type HQOptions struct {
 	Out   *spill.RunWriter
 }
 
+// pivotSamples is the number of random local candidates each PE
+// contributes to a pivot reduction.
+const pivotSamples = 3
+
+// sampleSorter returns the distributed splitter-sample sorter of MS and
+// PDMS (partition.Options.DistSort): hQuick on the sample group, with its
+// work billed to the caller's phase.
+func sampleSorter(seed uint64, blocking bool) func(c *comm.Comm, samples [][]byte, gid int) [][]byte {
+	return func(c *comm.Comm, samples [][]byte, gid int) [][]byte {
+		return HQuick(c, samples, HQOptions{GroupID: gid, Seed: seed, BlockingExchange: blocking}).Strings
+	}
+}
+
 // HQuick sorts the distributed string array with hypercube quicksort
 // adapted to strings (Section IV of the paper, after [Axtmann & Sanders,
 // Robust Massively Parallel Sorting]). Only the first 2^⌊log₂ p⌋ PEs hold
@@ -53,9 +63,6 @@ type HQOptions struct {
 // splitter samples of MS and PDMS — but every string is moved O(log p)
 // times, so it is not communication-efficient on large data.
 func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
-	if opt.PivotSamples <= 0 {
-		opt.PivotSamples = 3
-	}
 	p := c.P()
 	d := 0
 	for 1<<(d+1) <= p {
@@ -138,7 +145,7 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 			g := comm.NewGroup(c, members, opt.GroupID+1+(d-1-k))
 
 			setPhase(stats.PhasePartition)
-			pivotS, pivotU, ok := selectPivot(c, g, strings, uids, rng, opt.PivotSamples)
+			pivotS, pivotU, ok := selectPivot(c, g, strings, uids, rng)
 
 			setPhase(stats.PhaseExchange)
 			partner := c.Rank() ^ (1 << k)
@@ -189,16 +196,16 @@ func HQuick(c *comm.Comm, ss [][]byte, opt HQOptions) Result {
 }
 
 // selectPivot approximates the subcube median: every PE contributes up to
-// `samples` random local (string, uid) candidates; a binomial reduction
-// merges candidate lists, downsampling to `samples` evenly spaced elements
-// per step (so each reduction message carries at most samples·ℓ̂
-// characters, matching the ℓ̂·log²p volume term of Theorem 1); the group
-// root picks the middle candidate and broadcasts it. Returns ok=false when
-// the whole subcube is empty.
-func selectPivot(c *comm.Comm, g *comm.Group, strings [][]byte, uids []uint64, rng *rand.Rand, samples int) ([]byte, uint64, bool) {
-	idxs := make([]int, 0, samples)
+// pivotSamples random local (string, uid) candidates; a binomial reduction
+// merges candidate lists, downsampling to pivotSamples evenly spaced
+// elements per step (so each reduction message carries at most
+// pivotSamples·ℓ̂ characters, matching the ℓ̂·log²p volume term of
+// Theorem 1); the group root picks the middle candidate and broadcasts
+// it. Returns ok=false when the whole subcube is empty.
+func selectPivot(c *comm.Comm, g *comm.Group, strings [][]byte, uids []uint64, rng *rand.Rand) ([]byte, uint64, bool) {
+	idxs := make([]int, 0, pivotSamples)
 	if len(strings) > 0 {
-		for i := 0; i < samples; i++ {
+		for i := 0; i < pivotSamples; i++ {
 			idxs = append(idxs, rng.Intn(len(strings)))
 		}
 		sortTaggedIdx(strings, uids, idxs)
@@ -211,12 +218,12 @@ func selectPivot(c *comm.Comm, g *comm.Group, strings [][]byte, uids []uint64, r
 			panic("hquick: corrupt pivot candidates")
 		}
 		ms, mu := mergeTagged(ls, lu, hs, hu)
-		// Downsample to at most `samples` evenly spaced candidates.
-		if len(ms) > samples {
-			ds := make([][]byte, 0, samples)
-			du := make([]uint64, 0, samples)
-			for i := 0; i < samples; i++ {
-				j := (2*i + 1) * len(ms) / (2 * samples)
+		// Downsample to at most pivotSamples evenly spaced candidates.
+		if len(ms) > pivotSamples {
+			ds := make([][]byte, 0, pivotSamples)
+			du := make([]uint64, 0, pivotSamples)
+			for i := 0; i < pivotSamples; i++ {
+				j := (2*i + 1) * len(ms) / (2 * pivotSamples)
 				ds = append(ds, ms[j])
 				du = append(du, mu[j])
 			}

@@ -1,36 +1,30 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"dss/internal/comm"
 	"dss/internal/merge"
 	"dss/internal/par"
 	"dss/internal/partition"
-	"dss/internal/spill"
 	"dss/internal/stats"
 	"dss/internal/strsort"
 	"dss/internal/wire"
 )
 
 // MSOptions configure Algorithm MS (Section V). The zero value is the
-// MS-simple configuration; DefaultMS() enables all LCP optimizations.
+// MS-simple configuration; LCP: true is the configuration the paper
+// benchmarks as "MS".
 type MSOptions struct {
-	// LCPCompression enables the Step 3 exchange format that sends, per
-	// string, only the suffix beyond the LCP with the previous string.
-	LCPCompression bool
-	// LCPMerge selects the LCP-aware loser tree for Step 4 (and makes the
-	// algorithm produce the output LCP array). Without it a plain loser
-	// tree is used and no LCP data is communicated.
-	LCPMerge bool
+	// LCP enables both LCP optimizations of Section V: the Step-3 exchange
+	// sends, per string, only the suffix beyond the LCP with the previous
+	// string, and Step 4 merges with the LCP-aware loser tree (producing
+	// the output LCP array). Off, full strings travel and a plain loser
+	// tree merges them (MS-simple).
+	LCP bool
 	// Sampling selects string- or character-based splitter sampling.
 	Sampling partition.Sampling
 	// V is the oversampling factor (samples per PE); default 2p−1 (v = Θ(p),
 	// aligned with the bucket quantiles).
 	V int
-	// CentralSampleSort sorts the splitter sample on PE 0 instead of with
-	// distributed hQuick.
-	CentralSampleSort bool
 	// TieBreak partitions by (string, origin) pairs so duplicated strings
 	// spread evenly over the PEs instead of piling onto one bucket — the
 	// Section VIII extension for duplicate-heavy inputs.
@@ -43,50 +37,14 @@ type MSOptions struct {
 	GroupID int
 	// Seed drives hQuick's randomness during sample sorting.
 	Seed uint64
-	// BlockingExchange selects the pre-split bulk-synchronous Step-3 seam
-	// (Alltoallv, then decode) instead of the default split-phase one that
-	// decodes each run on arrival. Deterministic statistics are identical
-	// either way; blocking mode exists for differential testing.
-	BlockingExchange bool
-	// StreamChunk bounds the budget pipeline's chunked-exchange frame
-	// payload in bytes (0 = the comm default; ignored without Spill).
-	// Small values force many frames; tests use them to exercise
-	// resume-mid-frame paths.
-	StreamChunk int
-	// ParMergeMin gates the partitioned parallel Step-4 merge by received
-	// strings: 0 = merge.DefaultParMin, negative = always sequential.
-	// Output and deterministic stats are pool-width-independent either way.
-	ParMergeMin int
-	// Spill, if non-nil, runs the bounded-memory out-of-core pipeline:
-	// Step 3 ships through the chunked exchange, incoming runs spill to
-	// page files once the pool's budget is exceeded, and the Step-4 sink
-	// merge drains into Out (required non-nil with Spill) instead of an
-	// output arena. The deterministic statistics are untouched — they are
-	// seam-invariant and the spill decision only moves measured gauges —
-	// and the result holds Drained instead of Strings.
-	Spill *spill.Pool
-	// Out receives the merged run in budget mode (nil otherwise).
-	Out *spill.RunWriter
-}
-
-// DefaultMS returns the full Algorithm MS configuration: LCP compression,
-// LCP-aware merging, string-based sampling (the configuration the paper
-// benchmarks as "MS"), distributed sample sorting with hQuick.
-func DefaultMS() MSOptions {
-	return MSOptions{LCPCompression: true, LCPMerge: true}
-}
-
-// MSSimple returns the MS-simple configuration: the same mergesort scheme
-// with no LCP-related optimizations at all.
-func MSSimple() MSOptions {
-	return MSOptions{}
+	Seam
 }
 
 // MergeSort runs distributed string merge sort (Algorithm MS, Figure 1):
 //
 //  1. sort locally, producing the local LCP array;
-//  2. determine p−1 splitters by regular sampling and distributed (or
-//     centralized) sample sorting;
+//  2. determine p−1 splitters by regular sampling and distributed sample
+//     sorting with hQuick;
 //  3. all-to-all exchange of the buckets, optionally LCP-compressed;
 //  4. multiway merge of the p received runs, LCP-aware if configured.
 //
@@ -113,7 +71,7 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	c.SetPhase(stats.PhaseLocalSort)
 	var lcp []int32
 	var work, busy int64
-	if opt.LCPMerge || opt.LCPCompression {
+	if opt.LCP {
 		lcp, work, busy = strsort.ParallelSortLCP(c.Pool(), local, nil, nil)
 	} else {
 		work, busy = strsort.ParallelSort(c.Pool(), local, nil)
@@ -129,24 +87,15 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	}
 
 	// Step 2: splitter selection.
-	popt := partition.Options{
+	splitters := partition.SelectSplitters(c, local, partition.Options{
 		V:              opt.V,
 		Sampling:       opt.Sampling,
 		TieBreak:       opt.TieBreak,
 		RandomSampling: opt.RandomSampling,
 		Seed:           opt.Seed,
 		GroupID:        opt.GroupID + 1,
-	}
-	if !opt.CentralSampleSort {
-		seed := opt.Seed
-		blocking := opt.BlockingExchange
-		popt.DistSort = func(cc *comm.Comm, samples [][]byte, gid int) [][]byte {
-			return HQuick(cc, samples, HQOptions{
-				GroupID: gid, Seed: seed, BlockingExchange: blocking,
-			}).Strings
-		}
-	}
-	splitters := partition.SelectSplitters(c, local, popt)
+		DistSort:       sampleSorter(opt.Seed, opt.BlockingExchange),
+	})
 	var off []int
 	if opt.TieBreak {
 		off = partition.BucketsTie(local, c.Rank(), splitters)
@@ -163,52 +112,32 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	// string that stays on this PE.
 	c.SetPhase(stats.PhaseExchange)
 	g := comm.NewGroup(c, allRanks(p), opt.GroupID+8)
-	var wsizes [][2]int // per-dst (blob, lblob) sizes of the LCPMerge format
-	if opt.LCPMerge && !opt.LCPCompression {
-		wsizes = make([][2]int, p)
-	}
 	sizes, sbusy := par.MapOrdered(c.Pool(), p, func(dst int) int {
 		lo, hi := off[dst], off[dst+1]
-		switch {
-		case opt.LCPCompression:
+		if opt.LCP {
 			return wire.StringsLCPSize(local[lo:hi], lcpSub(lcp, lo, hi))
-		case opt.LCPMerge:
-			blob := wire.StringsSize(local[lo:hi])
-			lblob := wire.Int32sRunSize(lcpSub(lcp, lo, hi))
-			wsizes[dst] = [2]int{blob, lblob}
-			return wire.UvarintLen(uint64(blob)) + blob +
-				wire.UvarintLen(uint64(lblob)) + lblob
-		default:
-			return wire.StringsSize(local[lo:hi])
 		}
+		return wire.StringsSize(local[lo:hi])
 	})
 	c.AddCPU(sbusy)
 	enc := func(dst int, buf []byte) []byte {
 		lo, hi := off[dst], off[dst+1]
-		switch {
-		case opt.LCPCompression:
+		if opt.LCP {
 			return wire.AppendStringsLCP(buf, local[lo:hi], lcpSub(lcp, lo, hi))
-		case opt.LCPMerge:
-			return appendStringsWithLCPs(buf, local[lo:hi], lcpSub(lcp, lo, hi), wsizes[dst])
-		default:
-			return wire.AppendStrings(buf, local[lo:hi])
 		}
+		return wire.AppendStrings(buf, local[lo:hi])
 	}
 	if opt.Spill != nil {
 		// Bounded-memory pipeline: the chunked exchange with spillable run
 		// sources and the sink-mode merge draining straight into the
 		// sorted-run writer.
 		format := wire.RunStrings
-		if opt.LCPCompression {
+		if opt.LCP {
 			format = wire.RunStringsLCP
-		} else if opt.LCPMerge {
-			// LCPMerge without LCPCompression has no streaming wire format
-			// (unreachable from the public API).
-			panic("mergesort: the budget pipeline needs a streaming wire format")
 		}
 		parts := encodeParts(c, sizes, enc)
-		st := spillRuns(c, g, parts, format, opt.BlockingExchange, opt.StreamChunk, stats.PhaseMerge, opt.Spill)
-		n, mw := sinkMerge(c, st, opt.LCPMerge, false, opt.Out)
+		st := spillRuns(c, g, parts, opt.Seam, format, false)
+		n, mw := sinkMerge(c, st, opt.LCP, false, opt.Out)
 		c.AddWork(mw)
 		c.SetPhase(stats.PhaseOther)
 		return Result{Drained: n}
@@ -219,26 +148,19 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	// phase switches to merging while the stragglers are still in flight.
 	runs := make([]merge.Sequence, p)
 	exchangeEncoded(c, g, sizes, enc, opt.BlockingExchange, stats.PhaseMerge, func(src int, msg []byte) {
-		switch {
-		case opt.LCPCompression:
+		if opt.LCP {
 			rs, rl, err := wire.DecodeStringsLCP(msg)
 			if err != nil {
 				panic("mergesort: corrupt compressed run: " + err.Error())
 			}
 			runs[src] = merge.Sequence{Strings: rs, LCPs: rl}
-		case opt.LCPMerge:
-			rs, rl, err := decodeStringsWithLCPs(msg)
-			if err != nil {
-				panic("mergesort: corrupt run: " + err.Error())
-			}
-			runs[src] = merge.Sequence{Strings: rs, LCPs: rl}
-		default:
-			rs, err := wire.DecodeStrings(msg)
-			if err != nil {
-				panic("mergesort: corrupt run: " + err.Error())
-			}
-			runs[src] = merge.Sequence{Strings: rs}
+			return
 		}
+		rs, err := wire.DecodeStrings(msg)
+		if err != nil {
+			panic("mergesort: corrupt run: " + err.Error())
+		}
+		runs[src] = merge.Sequence{Strings: rs}
 	})
 
 	// Step 4: multiway merge of the fully decoded runs, partitioned across
@@ -246,7 +168,7 @@ func MergeSort(c *comm.Comm, ss [][]byte, opt MSOptions) Result {
 	// work by the deterministic merge-back contract).
 	var out merge.Sequence
 	var mwork, mbusy int64
-	if opt.LCPMerge {
+	if opt.LCP {
 		out, mwork, mbusy = merge.MergeLCPParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
 	} else {
 		out, mwork, mbusy = merge.MergeParHooked(c.Pool(), runs, opt.ParMergeMin, mergeHooks(c))
@@ -266,43 +188,4 @@ func lcpSub(lcp []int32, lo, hi int) []int32 {
 		return nil
 	}
 	return lcp[lo:hi]
-}
-
-// appendStringsWithLCPs appends the no-compression, LCP-merging exchange
-// format: full strings plus the raw LCP array (the LCP values still enable
-// the cheaper merge even though the strings travel uncompressed). The
-// first LCP entry is transmitted as zero — it is the boundary with a
-// string that stays on the sender. sizes carries the (blob, lblob) byte
-// sizes the caller already computed for the arena, so the bucket is not
-// traversed a second time.
-func appendStringsWithLCPs(dst []byte, ss [][]byte, lcps []int32, sizes [2]int) []byte {
-	dst = binary.AppendUvarint(dst, uint64(sizes[0]))
-	dst = wire.AppendStrings(dst, ss)
-	dst = binary.AppendUvarint(dst, uint64(sizes[1]))
-	dst = wire.AppendInt32sRun(dst, lcps)
-	return dst
-}
-
-func decodeStringsWithLCPs(msg []byte) ([][]byte, []int32, error) {
-	r := wire.NewReader(msg)
-	blob, err := r.BytesPrefixed()
-	if err != nil {
-		return nil, nil, err
-	}
-	lblob, err := r.BytesPrefixed()
-	if err != nil {
-		return nil, nil, err
-	}
-	ss, err := wire.DecodeStrings(blob)
-	if err != nil {
-		return nil, nil, err
-	}
-	lcps, err := wire.DecodeInt32s(lblob)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(lcps) != len(ss) {
-		return nil, nil, wire.ErrCorrupt
-	}
-	return ss, lcps, nil
 }

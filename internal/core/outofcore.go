@@ -30,11 +30,12 @@ import (
 // per source. It is confined to the PE goroutine, like the Comm; only
 // the page writes run concurrently (spill.File's write-behind chain).
 type spillStream struct {
-	c     *comm.Comm
-	pd    *comm.ChunkPending
-	pool  *spill.Pool
-	runs  []*spillRun
-	force bool // spill every run from its first chunk (composite format)
+	c        *comm.Comm
+	pd       *comm.ChunkPending
+	pool     *spill.Pool
+	runs     []*spillRun
+	spillAll bool // every run goes to its page file from the first chunk
+	chunk    int  // exchange frame payload bound: the routing granularity
 }
 
 // spillRun is one incoming run's state: resident (file == nil, fragments
@@ -54,43 +55,66 @@ type spillRun struct {
 
 // spillRuns posts the outgoing buckets as chunked transfers (billed
 // bucket for bucket like the in-RAM exchange) and returns the budgeted
-// pull views. Blocking mode drains every fragment before the phase
-// switch, spilling past-budget bytes as it goes: the bulk-synchronous
-// out-of-core reference.
-func spillRuns(c *comm.Comm, g *comm.Group, parts [][]byte, format wire.RunFormat, blocking bool, chunk int, next stats.Phase, pool *spill.Pool) *spillStream {
-	// The composite PDMS layout trails the origin column behind the whole
-	// prefix blob, so no item can emit before its bucket is complete —
-	// feeding a reader on arrival would grow the resident arenas to the
-	// full received volume. Those runs go to their page files from the
-	// first chunk and are merged from a two-cursor file view instead
-	// (sinkMergeComposite).
-	st := &spillStream{c: c, pool: pool, runs: make([]*spillRun, len(parts)),
-		force: format == wire.RunPrefixOrigins}
+// pull views, decoding resident runs with format. spillAll sends every
+// run to its page file from the first chunk, for layouts no run reader can
+// emit from before the bucket is complete (PDMS's trailing origin
+// section): feeding those on arrival would grow the resident arenas to
+// the full received volume. Blocking mode drains every fragment before
+// the phase switch, spilling past-budget bytes as it goes: the
+// bulk-synchronous out-of-core reference.
+func spillRuns(c *comm.Comm, g *comm.Group, parts [][]byte, seam Seam, format wire.RunFormat, spillAll bool) *spillStream {
+	chunk := seam.StreamChunk
+	if chunk <= 0 {
+		chunk = comm.DefaultStreamChunk
+	}
+	st := &spillStream{c: c, pool: seam.Spill, runs: make([]*spillRun, len(parts)), spillAll: spillAll, chunk: chunk}
 	for i := range st.runs {
 		st.runs[i] = &spillRun{r: wire.NewRunReader(format)}
 	}
 	st.pd = g.IAlltoallvChunked(parts, chunk)
-	if blocking {
+	if seam.BlockingExchange {
 		st.pd.NoOverlapCredit()
 		for st.drainOne() {
 		}
 	}
-	c.SetPhase(next)
+	c.SetPhase(stats.PhaseMerge)
 	return st
 }
 
-// drainOne receives the next fragment of the exchange and routes it: to
-// its run's reader while the pool has budget, to the run's page file once
-// it does not. The spill decision is a pure scheduling choice — it can
-// differ run to run and transport to transport — and therefore only ever
-// moves measured gauges, never a deterministic counter.
+// drainOne receives the next fragment of the exchange and routes it, a
+// chunk at a time: to its run's reader while the pool has budget, to the
+// run's page file once it does not. The PE's own bucket arrives as one
+// fragment; cutting it into exchange-sized chunks gives it the same
+// per-chunk budget decision as a remote bucket, so the resident arenas
+// overshoot the budget by a chunk, never by a whole bucket. The spill
+// decision is a pure scheduling choice — it can differ run to run and
+// transport to transport — and therefore only ever moves measured
+// gauges, never a deterministic counter.
 func (st *spillStream) drainOne() bool {
 	idx, chunk, frame, last, ok := st.pd.RecvChunk()
 	if !ok {
 		return false
 	}
 	run := st.runs[idx]
-	if run.file == nil && (st.force || st.pool.Over()) {
+	for len(chunk) > 0 {
+		n := min(len(chunk), st.chunk)
+		st.route(run, idx, chunk[:n])
+		chunk = chunk[n:]
+	}
+	st.c.Release(frame)
+	if last {
+		run.arrived = true
+		if run.file == nil {
+			run.finished = true
+			run.r.Finish()
+		}
+	}
+	return true
+}
+
+// route appends one chunk of run idx to its reader or its page file.
+func (st *spillStream) route(run *spillRun, idx int, chunk []byte) {
+	if run.file == nil && (st.spillAll || st.pool.Over()) {
 		f, err := st.pool.CreateFile(fmt.Sprintf("run%d", idx))
 		if err != nil {
 			panic("core: spill: " + err.Error())
@@ -103,15 +127,6 @@ func (st *spillStream) drainOne() bool {
 		run.r.Feed(chunk)
 		st.meter(run)
 	}
-	st.c.Release(frame)
-	if last {
-		run.arrived = true
-		if run.file == nil {
-			run.finished = true
-			run.r.Finish()
-		}
-	}
-	return true
 }
 
 // meter reserves the run reader's arena growth against the budget.
@@ -264,8 +279,10 @@ func sinkMerge(c *comm.Comm, st *spillStream, lcp, sats bool, out *spill.RunWrit
 	return n, work
 }
 
-// compositeSource is the budgeted pull view of one RunPrefixOrigins run.
-// The whole bucket lives in the run's page file (spillStream.force); two
+// compositeSource is the budgeted pull view of one PDMS bucket (a
+// length-prefixed RunStringsLCP prefix blob followed by a length-prefixed
+// origin section: count, then one varint origin per prefix). The whole
+// bucket lives in the run's page file (spillStream.spillAll); two
 // cursors page it back in independently — a RunStringsLCP reader over the
 // prefix-blob section and a varint scanner over the trailing origin
 // section — so the resident footprint is a page or two per run even
@@ -448,11 +465,11 @@ func (s *compositeSource) release() {
 	s.obuf = nil
 }
 
-// maxSpillSection mirrors the wire package's section bound: a declared
-// blob length beyond it cannot belong to a real bucket.
+// maxSpillSection bounds a declared blob length; it mirrors the
+// transports' frame limit, so a longer one cannot belong to a real bucket.
 const maxSpillSection = 1<<31 - 1
 
-// sinkMergeComposite drains budgeted RunPrefixOrigins runs through the
+// sinkMergeComposite drains budgeted PDMS buckets through the
 // sink-mode loser tree into the run writer, pairing each prefix with its
 // origin from the bucket's trailing section. Item sequence and work are
 // bit-identical to the in-RAM PDMS merges.

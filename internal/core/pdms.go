@@ -8,13 +8,14 @@ import (
 	"dss/internal/merge"
 	"dss/internal/par"
 	"dss/internal/partition"
-	"dss/internal/spill"
 	"dss/internal/stats"
 	"dss/internal/strsort"
 	"dss/internal/wire"
 )
 
-// PDMSOptions configure Algorithm PDMS (Section VI).
+// PDMSOptions configure Algorithm PDMS (Section VI). The zero value is
+// the evaluation configuration of PDMS: prefix doubling (ε = 1), no Golomb
+// coding, string-based sampling over the distinguishing prefixes.
 type PDMSOptions struct {
 	// Eps is the geometric prefix growth factor of Step 1+ε; the default 1
 	// gives prefix doubling.
@@ -22,8 +23,6 @@ type PDMSOptions struct {
 	// Golomb enables Golomb coding of the duplicate detection fingerprints
 	// (the PDMS-Golomb variant of the evaluation).
 	Golomb bool
-	// InitialLen is the first prefix guess ℓ₀ (default 8).
-	InitialLen int
 	// TwoLevelFingerprints enables the two-round (32-bit, then 64-bit)
 	// fingerprint exchange of [Sanders-Schlag-Müller] in Step 1+ε.
 	TwoLevelFingerprints bool
@@ -33,50 +32,19 @@ type PDMSOptions struct {
 	HypercubeRouting bool
 	// V is the oversampling factor; default 2p−1 (see MergeSort).
 	V int
-	// Sampling defaults to character-based sampling weighted by the
-	// approximated distinguishing prefix lengths, which balances the
-	// actual communication and merge work (Section VI).
+	// Sampling selects the splitter sampling over the distinguishing
+	// prefixes. The zero value, string-based sampling, is the paper's
+	// benchmarked setting; character-based sampling weights each sample by
+	// its approximated distinguishing prefix length, which balances the
+	// actual communication and merge work (Section VI, the skew experiment
+	// of Section VII-E).
 	Sampling partition.Sampling
-	// StringSamplingOverride forces string-based sampling (the paper's
-	// benchmarked configuration uses string-based sampling for all
-	// algorithms; the skew experiment uses character-based).
-	StringSamplingOverride bool
 	// GroupID is the base communicator namespace (the call consumes
 	// [GroupID, GroupID+16)).
 	GroupID int
 	// Seed drives fingerprinting and hQuick randomness.
 	Seed uint64
-	// BlockingExchange selects the pre-split bulk-synchronous Step-3 seam
-	// instead of the default split-phase decode-on-arrival one (see
-	// MSOptions.BlockingExchange).
-	BlockingExchange bool
-	// StreamChunk bounds the budget pipeline's chunked-exchange frame
-	// payload (see MSOptions.StreamChunk).
-	StreamChunk int
-	// ParMergeMin gates the partitioned parallel Step-4 merge (see
-	// MSOptions.ParMergeMin).
-	ParMergeMin int
-	// Spill runs the bounded-memory out-of-core pipeline (see
-	// MSOptions.Spill). Out receives the merged prefix run with its origin
-	// satellites in the run file's satellite column — budget-mode callers
-	// reconstruct full strings by origin lookup instead of core.Reconstruct
-	// (which needs the materialized result).
-	Spill *spill.Pool
-	Out   *spill.RunWriter
-}
-
-// DefaultPDMS returns the evaluation configuration of algorithm PDMS:
-// prefix doubling (ε=1), no Golomb coding, string-based sampling over
-// distinguishing prefixes.
-func DefaultPDMS() PDMSOptions {
-	return PDMSOptions{Eps: 1, StringSamplingOverride: true}
-}
-
-// DefaultPDMSGolomb returns the PDMS-Golomb configuration.
-func DefaultPDMSGolomb() PDMSOptions {
-	o := DefaultPDMS()
-	o.Golomb = true
-	return o
+	Seam
 }
 
 // PDMS runs Distributed Prefix-Doubling String Merge Sort (Section VI):
@@ -118,13 +86,12 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 
 	// Step 1+ε: approximate distinguishing prefix lengths.
 	dd := dupdetect.ApproxDist(c, local, dupdetect.Options{
-		Eps:        opt.Eps,
-		InitialLen: opt.InitialLen,
-		Golomb:     opt.Golomb,
-		TwoLevel:   opt.TwoLevelFingerprints,
-		Hypercube:  opt.HypercubeRouting,
-		Seed:       opt.Seed,
-		GroupID:    opt.GroupID + 2,
+		Eps:       opt.Eps,
+		Golomb:    opt.Golomb,
+		TwoLevel:  opt.TwoLevelFingerprints,
+		Hypercube: opt.HypercubeRouting,
+		Seed:      opt.Seed,
+		GroupID:   opt.GroupID + 2,
 	})
 	dist := dd.Dist
 
@@ -163,26 +130,14 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	// splitters have length at most d̂, and character-based sampling uses
 	// the approximated prefix lengths as weights, balancing the work that
 	// is actually done (Theorem 5 analysis).
-	sampling := partition.CharSampling
-	if opt.StringSamplingOverride {
-		sampling = partition.StringSampling
-	} else if opt.Sampling == partition.StringSampling {
-		sampling = opt.Sampling
-	}
-	seed := opt.Seed
-	popt := partition.Options{
+	splitters := partition.SelectSplitters(c, local, partition.Options{
 		V:         opt.V,
-		Sampling:  sampling,
+		Sampling:  opt.Sampling,
 		Weights:   dist,
 		Transform: func(i int) []byte { return prefixes[i] },
 		GroupID:   opt.GroupID + 5,
-		DistSort: func(cc *comm.Comm, samples [][]byte, gid int) [][]byte {
-			return HQuick(cc, samples, HQOptions{
-				GroupID: gid, Seed: seed, BlockingExchange: opt.BlockingExchange,
-			}).Strings
-		},
-	}
-	splitters := partition.SelectSplitters(c, local, popt)
+		DistSort:  sampleSorter(opt.Seed, opt.BlockingExchange),
+	})
 	// Buckets are computed over the prefixes: the transmitted prefixes
 	// preserve the order of the underlying strings (distinct strings never
 	// tie; see dupdetect), so bucketing prefixes against prefix splitters
@@ -223,9 +178,13 @@ func PDMS(c *comm.Comm, ss [][]byte, opt PDMSOptions) Result {
 	}
 	if opt.Spill != nil {
 		// Bounded-memory pipeline (see MergeSort's budget branch): the
-		// origins travel as the run file's satellite column.
+		// origins travel as the run file's satellite column. A bucket's
+		// origin section trails its whole prefix blob, so no (prefix,
+		// origin) pair exists before the bucket's last byte: every run is
+		// paged to its file from the first chunk and merged through two
+		// file cursors (sinkMergeComposite) instead of a run reader.
 		parts := encodeParts(c, sizes, enc)
-		st := spillRuns(c, g, parts, wire.RunPrefixOrigins, opt.BlockingExchange, opt.StreamChunk, stats.PhaseMerge, opt.Spill)
+		st := spillRuns(c, g, parts, opt.Seam, wire.RunStringsLCP, true)
 		n, mw := sinkMergeComposite(c, st, opt.Out)
 		c.AddWork(mw)
 		c.SetPhase(stats.PhaseOther)

@@ -221,15 +221,19 @@ func (f *File) loadErr() error {
 }
 
 // Append buffers b for the write-behind chain. The bytes are copied; the
-// pool meters the copy until its page write completes.
+// pool meters the copy until its page write completes. b is taken a page
+// at a time, so an append larger than a page (a whole bucket arriving as
+// one fragment) never holds more than one page of unflushed bytes: each
+// full page goes to the write-behind chain before the next is copied.
 func (f *File) Append(b []byte) {
-	if len(b) == 0 {
-		return
-	}
-	f.p.Reserve(int64(len(b)))
-	f.pending = append(f.pending, b...)
-	if len(f.pending) >= f.p.cfg.PageSize {
-		f.flush()
+	for len(b) > 0 {
+		n := min(len(b), f.p.cfg.PageSize-len(f.pending))
+		f.p.Reserve(int64(n))
+		f.pending = append(f.pending, b[:n]...)
+		b = b[n:]
+		if len(f.pending) >= f.p.cfg.PageSize {
+			f.flush()
+		}
 	}
 }
 

@@ -177,6 +177,40 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileAppendMetersOnePage pins the write-behind bound: an append much
+// larger than a page is flushed page by page, so the pool never meters
+// more than one page of it at once (with a sequential pool every page
+// write completes inline, before the next page is copied).
+func TestFileAppendMetersOnePage(t *testing.T) {
+	const page = 256
+	p, err := NewPool(Config{Dir: t.TempDir(), PageSize: page}, par.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	f, err := p.CreateFile("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	big := bytes.Repeat([]byte("0123456789"), 100) // 1000 bytes, ~4 pages
+	f.Append(big[:100])
+	f.Append(big)
+	if p.Peak() > page {
+		t.Fatalf("peak %d after a %d-byte append, want at most one page (%d)", p.Peak(), len(big), page)
+	}
+	if want := int64(1100 % page); p.Live() != want {
+		t.Fatalf("live %d, want the unflushed tail %d", p.Live(), want)
+	}
+	if _, err := f.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.ReadSpan(0, 2000)
+	if err != nil || !bytes.Equal(got, append(append([]byte(nil), big[:100]...), big...)) {
+		t.Fatalf("read-back differs (err %v)", err)
+	}
+}
+
 // TestFilePendingTailAlias checks the documented aliasing contract: a span
 // served from the pending tail stays valid even after further appends.
 func TestFilePendingTailAlias(t *testing.T) {

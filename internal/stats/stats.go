@@ -85,13 +85,23 @@ type WireCounters struct {
 // is owned by exactly one goroutine while an algorithm runs; it must only be
 // read by other goroutines after the machine has finished.
 //
+// The counters themselves live in the embedded Counters.
+type PE struct {
+	Rank int
+	Counters
+}
+
+// Counters is the accounting state of one PE, gathered across processes
+// by comm.AllgatherReport. Every field is an int64 or a fixed-size array
+// of them, so encoding/binary serializes the whole struct in one call: a
+// new counter is one field here and nothing else.
+//
 // Phases holds the deterministic counters the α-β model time and the
 // bytes-per-string figures are computed from; they are bit-identical across
 // transports and runs. Wall and Overlap are wall-clock measurements of the
 // split-phase overlap model: nondeterministic, never fed into ModelTime,
 // and excluded from cross-backend statistics comparisons.
-type PE struct {
-	Rank   int
+type Counters struct {
 	Phases [NumPhases]PhaseCounters
 	// Wire[ph] counts the post-codec bytes of frames encoded or decoded
 	// while ph was the wire-accounting phase. The machine-wide totals are

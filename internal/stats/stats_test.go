@@ -136,7 +136,7 @@ func TestDefaultModelPlausible(t *testing.T) {
 
 func TestMaxMergeLeadNS(t *testing.T) {
 	mk := func(start, done int64) *PE {
-		return &PE{MergeStartNS: start, ExchangeDoneNS: done}
+		return &PE{Counters: Counters{MergeStartNS: start, ExchangeDoneNS: done}}
 	}
 	// No milestones recorded (in-RAM runs) → 0.
 	r := NewReport([]*PE{mk(0, 0), mk(0, 0)}, DefaultModel())

@@ -37,6 +37,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -152,6 +153,7 @@ type Endpoint struct {
 	lastAll   time.Time
 	seq       uint64 // FIFO tiebreak for equal release times
 	pendDrop  *drop  // armed for the next scheduled frame
+	dropLog   []DropPoint
 	closeOnce sync.Once
 
 	mu      sync.Mutex
@@ -167,6 +169,13 @@ type streamKey struct {
 
 type drop struct {
 	afterBytes int
+}
+
+// DropPoint is one connection drop the schedule injected: the peer whose
+// connection is cut and how many bytes of the torn frame's write still
+// reach the wire first.
+type DropPoint struct {
+	Peer, AfterBytes int
 }
 
 // frame is one scheduled remote send.
@@ -247,6 +256,7 @@ func (e *Endpoint) Send(dst, tag int, data []byte) {
 			after = e.rng.Intn(28 + len(data) + 1)
 		}
 		dr = &drop{afterBytes: after}
+		e.dropLog = append(e.dropLog, DropPoint{Peer: dst, AfterBytes: after})
 	}
 
 	now := time.Now()
@@ -376,6 +386,12 @@ func (e *Endpoint) NetStats() (reconnects, resentFrames, resentBytes int64) {
 	}
 	return 0, 0, 0
 }
+
+// Drops returns the connection drops injected so far, in send order: the
+// fault schedule itself, a pure function of the seed and the send
+// sequence. Like Send it belongs to the sending goroutine; call it from
+// there or after sending has stopped.
+func (e *Endpoint) Drops() []DropPoint { return slices.Clone(e.dropLog) }
 
 // Drain flushes the delay queue — every already-sent frame still reaches
 // the wrapped transport, with its remaining delay cut short — and stops

@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dss/internal/transport"
@@ -51,10 +52,17 @@ func TestConformanceUnderChaos(t *testing.T) {
 // TestScheduleDeterminism pins the decorator's core promise: the fault
 // schedule is a pure function of (seed, rank, send sequence). Two
 // endpoints wrapped with the same seed over identical send sequences must
-// inject the drops at the same frame indices — observed here through the
-// wrapped tcp endpoint's reconnect counters.
+// inject the same drops — the same (peer, afterBytes) points, compared
+// directly — and the wrapped tcp endpoint must recover from each of them
+// the same number of times. The resent-frame count is only checked to be
+// positive: how many frames are still unacknowledged when a drop fires
+// depends on ack timing, not on the schedule.
 func TestScheduleDeterminism(t *testing.T) {
-	run := func(seed uint64) (reconnects, resent int64) {
+	type outcome struct {
+		reconnects, resent int64
+		drops              []chaos.DropPoint
+	}
+	run := func(seed uint64) outcome {
 		f, err := tcp.NewLoopback(2)
 		if err != nil {
 			t.Fatalf("loopback fabric: %v", err)
@@ -88,19 +96,25 @@ func TestScheduleDeterminism(t *testing.T) {
 		rc, rf, _ := a.(interface {
 			NetStats() (int64, int64, int64)
 		}).NetStats()
+		drops := a.(*chaos.Endpoint).Drops()
 		if err := cf.Close(); err != nil {
 			t.Fatalf("Close after recovered drops: %v", err)
 		}
-		return rc, rf
+		return outcome{reconnects: rc, resent: rf, drops: drops}
 	}
 
-	r1, f1 := run(42)
-	r2, f2 := run(42)
-	if r1 < 1 {
-		t.Fatalf("drop schedule injected no drops over 120 frames (reconnects = %d)", r1)
+	o1, o2 := run(42), run(42)
+	if o1.reconnects < 1 || len(o1.drops) < 1 {
+		t.Fatalf("drop schedule injected no drops over 120 frames (reconnects = %d, drops = %v)", o1.reconnects, o1.drops)
 	}
-	if r1 != r2 || f1 != f2 {
-		t.Fatalf("same seed, different schedule: (%d reconnects, %d resent) vs (%d, %d)", r1, f1, r2, f2)
+	if o1.reconnects != o2.reconnects {
+		t.Fatalf("same seed, different recovery: %d vs %d reconnects", o1.reconnects, o2.reconnects)
+	}
+	if !slices.Equal(o1.drops, o2.drops) {
+		t.Fatalf("same seed, different drop schedule: %v vs %v", o1.drops, o2.drops)
+	}
+	if o1.resent < 1 || o2.resent < 1 {
+		t.Fatalf("a torn frame was never resent (resent frames %d and %d)", o1.resent, o2.resent)
 	}
 }
 

@@ -30,6 +30,32 @@ func frameBytes(seq, ack uint64, tag int, payload []byte) []byte {
 	return buf.Bytes()
 }
 
+// TestSupersededReaderCannotDeliver pins the reconnect race fix: a reader
+// still draining a replaced connection's buffered frames must stop at its
+// next frame instead of delivering it, while the current connection's
+// reader delivers the same frames exactly once.
+func TestSupersededReaderCannotDeliver(t *testing.T) {
+	e, pc := fuzzReaderEndpoint()
+	stream := append(frameBytes(1, 0, 7, []byte("a")), frameBytes(2, 0, 7, []byte("b"))...)
+	stale := pc.gen
+	pc.gen++ // a reconnect adopted a replacement connection
+	if err := e.readFrames(1, pc, stale, bufio.NewReader(bytes.NewReader(stream))); err == nil {
+		t.Fatal("superseded reader returned nil")
+	}
+	if d := pc.delivered.Load(); d != 0 {
+		t.Fatalf("superseded reader delivered up to frame %d", d)
+	}
+	e.readFrames(1, pc, pc.gen, bufio.NewReader(bytes.NewReader(stream)))
+	for _, want := range []string{"a", "b"} {
+		if got, ok := e.boxes[1].Pop(7); !ok || string(got) != want {
+			t.Fatalf("got %q (ok=%v), want %q", got, ok, want)
+		}
+	}
+	if d := pc.delivered.Load(); d != 2 {
+		t.Fatalf("current reader delivered up to frame %d, want 2", d)
+	}
+}
+
 // FuzzFrameHeader drives the connection reader with arbitrary bytes. The
 // invariant under fuzz: readFrames NEVER panics — every malformed header
 // (oversized length, payload on an ack frame, a sequence gap, a stream
@@ -52,7 +78,7 @@ func FuzzFrameHeader(f *testing.F) {
 			data = data[:48<<10]
 		}
 		e, pc := fuzzReaderEndpoint()
-		err := e.readFrames(1, pc, bufio.NewReader(bytes.NewReader(data)))
+		err := e.readFrames(1, pc, pc.gen, bufio.NewReader(bytes.NewReader(data)))
 		if err == nil {
 			t.Fatal("readFrames returned nil on a finite stream (must at least hit EOF)")
 		}

@@ -231,7 +231,13 @@ type peerConn struct {
 	// read by the writer for ack piggybacking and by reconnect handshakes.
 	delivered atomic.Uint64
 
-	drop atomic.Pointer[dropTrap] // armed fault injection (transport.ConnDropper)
+	// Armed fault injections (transport.ConnDropper). drop is the trap the
+	// writer fires next; traps armed while it is live wait in queued and
+	// fire one per cut, in arming order. dropMu orders arming against the
+	// writer's hand-over, so no armed drop is ever lost.
+	drop   atomic.Pointer[dropTrap]
+	dropMu sync.Mutex
+	queued []*dropTrap
 }
 
 type ringFrame struct {
@@ -276,7 +282,7 @@ type trapWriter struct {
 func (tw trapWriter) Write(p []byte) (int, error) {
 	if t := tw.pc.drop.Load(); t != nil {
 		if int64(len(p)) >= t.remaining {
-			tw.pc.drop.Store(nil)
+			tw.pc.nextTrap()
 			n := int(t.remaining)
 			if n > 0 {
 				tw.c.Write(p[:n])
@@ -287,6 +293,18 @@ func (tw trapWriter) Write(p []byte) (int, error) {
 		t.remaining -= int64(len(p))
 	}
 	return tw.c.Write(p)
+}
+
+// nextTrap retires the fired trap and arms the next queued one.
+func (pc *peerConn) nextTrap() {
+	pc.dropMu.Lock()
+	var next *dropTrap
+	if len(pc.queued) > 0 {
+		next = pc.queued[0]
+		pc.queued = pc.queued[1:]
+	}
+	pc.drop.Store(next)
+	pc.dropMu.Unlock()
 }
 
 // Connect joins the fabric described by peers as the given rank: it binds a
@@ -933,7 +951,7 @@ func (pc *peerConn) writerLoop() {
 // every mailbox through the endpoint-wide teardown with the cause
 // recorded.
 func (e *Endpoint) readLoop(src int, pc *peerConn, c net.Conn, gen int) {
-	err := e.readFrames(src, pc, bufio.NewReaderSize(c, 64<<10))
+	err := e.readFrames(src, pc, gen, bufio.NewReaderSize(c, 64<<10))
 	pc.connError(gen, err)
 }
 
@@ -941,8 +959,8 @@ func (e *Endpoint) readLoop(src int, pc *peerConn, c net.Conn, gen int) {
 // stream until it errors. Every malformed header — oversized length,
 // payload on an ack, a sequence gap — is a connection error returned to
 // the caller, never a panic: the fuzz suite drives this function with
-// arbitrary bytes.
-func (e *Endpoint) readFrames(src int, pc *peerConn, br *bufio.Reader) error {
+// arbitrary bytes. gen is the generation of the connection being read.
+func (e *Endpoint) readFrames(src int, pc *peerConn, gen int, br *bufio.Reader) error {
 	var hdr [headerLen]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -997,22 +1015,35 @@ func (e *Endpoint) readFrames(src int, pc *peerConn, br *bufio.Reader) error {
 		if err != nil {
 			return err
 		}
-		e.boxes[src].Push(tag, buf)
-		pc.delivered.Store(seq)
-		// Wake the writer so the delivery is acknowledged even when no
-		// reverse-direction data frame is around to piggyback on; the
-		// writer coalesces bursts into one cumulative ack.
-		pc.noteDelivered()
+		if !pc.deliver(e.boxes[src], gen, seq, tag, buf) {
+			e.pool.Put(buf)
+			return fmt.Errorf("frame %d arrived on a superseded connection", seq)
+		}
 	}
 }
 
-// noteDelivered wakes the pair's writer to acknowledge newly delivered
-// frames. It takes the lock only momentarily — no one holds mu across a
-// blocking operation — so the reader is never stalled by it.
-func (pc *peerConn) noteDelivered() {
+// deliver hands one received frame to the mailbox and advances the
+// delivered sequence, atomically under mu and only for the pair's current
+// connection. After a reconnect the superseded connection's reader can
+// still be parsing frames out of its buffer while the replacement's
+// reader receives the same frames again from the peer's replay; without
+// the generation check the two would race on delivered, delivering a
+// frame twice and rolling delivered back behind an acknowledged frame —
+// a permanent sequence gap. It reports false to a stale reader, which
+// must stop. It also wakes the writer so the delivery is acknowledged
+// even when no reverse-direction data frame is around to piggyback on
+// (the writer coalesces bursts into one cumulative ack); no one holds mu
+// across a blocking operation, so the reader is never stalled by it.
+func (pc *peerConn) deliver(box *transport.Mailbox, gen int, seq uint64, tag int, buf []byte) bool {
 	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if gen != pc.gen || seq != pc.delivered.Load()+1 {
+		return false
+	}
+	box.Push(tag, buf)
+	pc.delivered.Store(seq)
 	pc.condW.Signal()
-	pc.mu.Unlock()
+	return true
 }
 
 // readPayload reads one payload of n bytes into a pooled buffer,
@@ -1073,12 +1104,22 @@ func (e *Endpoint) NetStats() (reconnects, resentFrames, resentBytes int64) {
 
 // DropConn implements transport.ConnDropper: it arms a one-shot trap that
 // truncates the next write to peer after afterBytes bytes and cuts the
-// connection — fault injection for the chaos decorator and the tests.
+// connection — fault injection for the chaos decorator and the tests. A
+// trap armed while an earlier one has not fired yet waits for it: every
+// armed drop cuts the connection exactly once.
 func (e *Endpoint) DropConn(peer int, afterBytes int) bool {
 	if peer < 0 || peer >= e.p || peer == e.rank {
 		return false
 	}
-	e.conns[peer].drop.Store(&dropTrap{remaining: int64(afterBytes)})
+	pc := e.conns[peer]
+	t := &dropTrap{remaining: int64(afterBytes)}
+	pc.dropMu.Lock()
+	if pc.drop.Load() == nil {
+		pc.drop.Store(t)
+	} else {
+		pc.queued = append(pc.queued, t)
+	}
+	pc.dropMu.Unlock()
 	return true
 }
 

@@ -8,8 +8,7 @@ import (
 )
 
 // oneShot is the reference decoder of a format: the exact non-streaming
-// path each RunFormat mirrors (DecodeStrings / DecodeStringsLCP for the
-// wire formats, the core-layer composites re-stated here).
+// path each RunFormat mirrors (DecodeStrings / DecodeStringsLCP).
 func oneShot(format RunFormat, msg []byte) ([]Item, error) {
 	switch format {
 	case RunStrings:
@@ -30,33 +29,6 @@ func oneShot(format RunFormat, msg []byte) ([]Item, error) {
 		items := make([]Item, len(ss))
 		for i, s := range ss {
 			items[i] = Item{S: s, LCP: lcps[i]}
-		}
-		return items, nil
-	case RunPrefixOrigins:
-		// Mirror of PDMS's eager exchange decode.
-		r := NewReader(msg)
-		blob, err := r.BytesPrefixed()
-		if err != nil {
-			return nil, err
-		}
-		oblob, err := r.BytesPrefixed()
-		if err != nil {
-			return nil, err
-		}
-		ss, lcps, err := DecodeStringsLCP(blob)
-		if err != nil {
-			return nil, err
-		}
-		os, err := DecodeUint64s(oblob)
-		if err != nil {
-			return nil, err
-		}
-		if len(os) != len(ss) {
-			return nil, ErrCorrupt
-		}
-		items := make([]Item, len(ss))
-		for i, s := range ss {
-			items[i] = Item{S: s, LCP: lcps[i], Sat: os[i]}
 		}
 		return items, nil
 	}
@@ -112,8 +84,8 @@ func lcpOf(a, b []byte) int32 {
 }
 
 // encodeRun builds a valid encoded run of the given format over a sorted
-// string set with per-string satellite words.
-func encodeRun(format RunFormat, ss [][]byte, sats []uint64) []byte {
+// string set.
+func encodeRun(format RunFormat, ss [][]byte) []byte {
 	lcps := make([]int32, len(ss))
 	for i := 1; i < len(ss); i++ {
 		lcps[i] = lcpOf(ss[i-1], ss[i])
@@ -123,24 +95,11 @@ func encodeRun(format RunFormat, ss [][]byte, sats []uint64) []byte {
 		return EncodeStrings(ss)
 	case RunStringsLCP:
 		return EncodeStringsLCP(ss, lcps)
-	case RunPrefixOrigins:
-		blob := EncodeStringsLCP(ss, lcps)
-		var msg []byte
-		msg = binary.AppendUvarint(msg, uint64(len(blob)))
-		msg = append(msg, blob...)
-		ow := NewBuffer(64)
-		ow.Uvarint(uint64(len(ss)))
-		for i := range ss {
-			ow.Uvarint(sats[i])
-		}
-		msg = binary.AppendUvarint(msg, uint64(ow.Len()))
-		msg = append(msg, ow.Bytes()...)
-		return msg
 	}
 	panic("unknown format")
 }
 
-var runFormats = []RunFormat{RunStrings, RunStringsLCP, RunPrefixOrigins}
+var runFormats = []RunFormat{RunStrings, RunStringsLCP}
 
 // testRuns are the string-set shapes every format is exercised with.
 func testRuns() [][][]byte {
@@ -162,11 +121,7 @@ func testRuns() [][][]byte {
 func TestRunReaderEverySplitPoint(t *testing.T) {
 	for _, format := range runFormats {
 		for ri, ss := range testRuns() {
-			sats := make([]uint64, len(ss))
-			for i := range sats {
-				sats[i] = uint64(i)*977 + 5
-			}
-			msg := encodeRun(format, ss, sats)
+			msg := encodeRun(format, ss)
 			want, err := oneShot(format, msg)
 			if err != nil {
 				t.Fatalf("format %d run %d: reference decode failed: %v", format, ri, err)
@@ -206,9 +161,8 @@ func TestRunReaderEverySplitPoint(t *testing.T) {
 // fabricates a complete run.
 func TestRunReaderGarbageTailsAndTruncations(t *testing.T) {
 	ss := [][]byte{[]byte("aa"), []byte("aab"), []byte("abc"), []byte("b")}
-	sats := []uint64{9, 8, 7, 6}
 	for _, format := range runFormats {
-		msg := encodeRun(format, ss, sats)
+		msg := encodeRun(format, ss)
 		want, err := oneShot(format, msg)
 		if err != nil {
 			t.Fatalf("format %d: reference decode failed: %v", format, err)
@@ -252,9 +206,8 @@ func TestRunReaderGarbageTailsAndTruncations(t *testing.T) {
 // reference at the end.
 func TestRunReaderDoesNotAliasChunks(t *testing.T) {
 	ss := [][]byte{[]byte("alpha"), []byte("alphabet"), []byte("alphabetical"), []byte("beta")}
-	sats := []uint64{1, 2, 3, 4}
 	for _, format := range runFormats {
-		msg := encodeRun(format, ss, sats)
+		msg := encodeRun(format, ss)
 		want, _ := oneShot(format, msg)
 		r := NewRunReader(format)
 		scratch := make([]byte, 3)
@@ -310,18 +263,19 @@ func TestRunReaderDoesNotAliasChunks(t *testing.T) {
 func FuzzRunReader(f *testing.F) {
 	for _, format := range runFormats {
 		for _, ss := range testRuns() {
-			sats := make([]uint64, len(ss))
-			for i := range sats {
-				sats[i] = uint64(i) * 3
-			}
-			f.Add(uint8(format), uint8(3), encodeRun(format, ss, sats))
+			f.Add(uint8(format), uint8(3), encodeRun(format, ss))
 		}
 	}
 	f.Add(uint8(RunStringsLCP), uint8(1), []byte{2, 0, 3, 'a', 'b', 'c', 9, 1}) // lcp 9 > prev len
-	f.Add(uint8(RunPrefixOrigins), uint8(2), []byte{200, 1, 0, 3, 'x'})         // blob longer than msg
+	f.Add(uint8(RunStrings), uint8(2), []byte{1, 200, 1, 'x'})                  // string longer than msg
 	f.Add(uint8(RunStrings), uint8(1), bytes.Repeat([]byte{0xff}, 16))          // varint overflow
+	for _, format := range runFormats {
+		for _, ss := range testRuns() {
+			f.Add(uint8(format), uint8(2), append(encodeRun(format, ss), 0xff, 0x01)) // garbage tail
+		}
+	}
 	f.Fuzz(func(t *testing.T, f8, width8 uint8, msg []byte) {
-		format := RunFormat(f8 % 3)
+		format := RunFormat(int(f8) % len(runFormats))
 		width := int(width8%16) + 1
 		want, wantErr := oneShot(format, msg)
 		var cuts []int
@@ -349,9 +303,8 @@ func FuzzRunReader(f *testing.F) {
 // drop the rest of the run (see merge.Source's Head contract).
 func TestRunReaderEmptyFirstStringIsNonNil(t *testing.T) {
 	ss := [][]byte{{}, {}, []byte("b")}
-	sats := []uint64{1, 2, 3}
 	for _, format := range runFormats {
-		msg := encodeRun(format, ss, sats)
+		msg := encodeRun(format, ss)
 		for _, width := range []int{1, 2, len(msg)} {
 			var cuts []int
 			for c := width; c < len(msg); c += width {
@@ -373,27 +326,32 @@ func TestRunReaderEmptyFirstStringIsNonNil(t *testing.T) {
 	}
 }
 
-// TestRunReaderRejectsHugeSectionLengths pins the composite format's
-// section-length sanity check: a declared blob or origin-blob length
-// beyond any real frame must fail as clean corruption (the one-shot
-// decoder's ErrTruncated equivalent), never overflow the int section
-// budget into a negative skip and panic.
+// TestRunReaderRejectsHugeSectionLengths pins the length sanity of both
+// formats: a declared string length or string count beyond any real frame
+// must fail as clean truncation once the stream ends (the one-shot
+// decoders' ErrTruncated), never allocate for it, stall or panic.
 func TestRunReaderRejectsHugeSectionLengths(t *testing.T) {
-	for _, huge := range []uint64{1 << 31, 1 << 62, 1 << 63, ^uint64(0)} {
-		// blobLen = huge, then plausible run bytes.
-		msg := binary.AppendUvarint(nil, huge)
-		msg = append(msg, 1, 0, 1, 'x')
-		if _, err := streamDecode(RunPrefixOrigins, msg, []int{1, 3}); err == nil {
-			t.Fatalf("blob length %d accepted", huge)
-		}
-		// Valid blob, huge oblobLen.
-		blob := EncodeStringsLCP([][]byte{[]byte("x")}, []int32{0})
-		msg = binary.AppendUvarint(nil, uint64(len(blob)))
-		msg = append(msg, blob...)
-		msg = binary.AppendUvarint(msg, huge)
-		msg = append(msg, 1, 7)
-		if _, err := streamDecode(RunPrefixOrigins, msg, []int{2, 5}); err == nil {
-			t.Fatalf("oblob length %d accepted", huge)
+	for _, format := range runFormats {
+		for _, huge := range []uint64{1 << 31, 1 << 62, 1 << 63, ^uint64(0)} {
+			// count = 1, then a string whose declared length is huge.
+			msg := []byte{1}
+			if format == RunStringsLCP {
+				msg = append(msg, 0) // LCP with the (absent) predecessor
+			}
+			msg = binary.AppendUvarint(msg, huge)
+			msg = append(msg, 'x')
+			if _, err := streamDecode(format, msg, []int{1, 2}); err == nil {
+				t.Fatalf("format %d: string length %d accepted", format, huge)
+			}
+			// A huge count followed by one valid string.
+			msg = binary.AppendUvarint(nil, huge)
+			if format == RunStringsLCP {
+				msg = append(msg, 0)
+			}
+			msg = append(msg, 1, 'x')
+			if _, err := streamDecode(format, msg, []int{2, 3}); err == nil {
+				t.Fatalf("format %d: string count %d accepted", format, huge)
+			}
 		}
 	}
 }

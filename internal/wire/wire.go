@@ -282,77 +282,6 @@ func DecodeStringsLCP(msg []byte) ([][]byte, []int32, error) {
 	return ss, lcps, nil
 }
 
-// EncodeInt32s serializes an int32 slice as varints (values must be >= 0).
-func EncodeInt32s(vs []int32) []byte {
-	return AppendInt32s(make([]byte, 0, Int32sSize(vs)), vs)
-}
-
-// Int32sSize returns the exact encoded size of EncodeInt32s(vs).
-func Int32sSize(vs []int32) int {
-	n := UvarintLen(uint64(len(vs)))
-	for _, v := range vs {
-		n += UvarintLen(uint64(uint32(v)))
-	}
-	return n
-}
-
-// AppendInt32s appends the EncodeInt32s encoding of vs to dst.
-func AppendInt32s(dst []byte, vs []int32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = binary.AppendUvarint(dst, uint64(uint32(v)))
-	}
-	return dst
-}
-
-// AppendInt32sRun and Int32sRunSize are the EncodeInt32s format with the
-// first value transmitted as zero: the run-boundary convention of the LCP
-// exchange (see AppendStringsLCP), kept here so the encoding and
-// DecodeInt32s live in one package.
-func AppendInt32sRun(dst []byte, vs []int32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vs)))
-	for i, v := range vs {
-		if i == 0 {
-			v = 0
-		}
-		dst = binary.AppendUvarint(dst, uint64(uint32(v)))
-	}
-	return dst
-}
-
-// Int32sRunSize returns the exact encoded size of AppendInt32sRun(nil, vs).
-func Int32sRunSize(vs []int32) int {
-	n := UvarintLen(uint64(len(vs)))
-	for i, v := range vs {
-		if i == 0 {
-			v = 0
-		}
-		n += UvarintLen(uint64(uint32(v)))
-	}
-	return n
-}
-
-// DecodeInt32s reverses EncodeInt32s.
-func DecodeInt32s(msg []byte) ([]int32, error) {
-	r := NewReader(msg)
-	cnt, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if cnt > uint64(len(msg))+1 {
-		return nil, ErrCorrupt
-	}
-	out := make([]int32, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		v, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, int32(uint32(v)))
-	}
-	return out, nil
-}
-
 // EncodeUint64s serializes a uint64 slice as varints.
 func EncodeUint64s(vs []uint64) []byte {
 	w := NewBuffer(len(vs)*4 + 8)

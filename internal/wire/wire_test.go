@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -194,28 +193,6 @@ func TestDecodeStringsLCPCorrupt(t *testing.T) {
 	if _, _, err := DecodeStringsLCP(w.Bytes()); err == nil {
 		t.Fatal("expected error for LCP exceeding previous length")
 	}
-}
-
-func TestInt32sRoundtrip(t *testing.T) {
-	f := func(vs []int32) bool {
-		for i := range vs {
-			if vs[i] < 0 {
-				vs[i] = -vs[i]
-			}
-		}
-		got, err := DecodeInt32s(EncodeInt32s(vs))
-		return err == nil && reflect.DeepEqual(normalize32(got), normalize32(vs))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func normalize32(v []int32) []int32 {
-	if len(v) == 0 {
-		return nil
-	}
-	return v
 }
 
 func TestUint64sRoundtrip(t *testing.T) {

@@ -32,7 +32,6 @@ type TuningFlags struct {
 	Exchange     *string
 	MergeChunk   *int
 	Codec        *string
-	CodecMin     *int
 	Validate     *bool
 	Cores        *int
 	ParMergeMin  *int
@@ -61,7 +60,6 @@ func RegisterTuningFlags(fs *flag.FlagSet) *TuningFlags {
 		Exchange:     fs.String("exchange", "split", "Step-3 seam: split (overlap exchange with merge decode) or blocking (bulk-synchronous)"),
 		MergeChunk:   fs.Int("merge-chunk", 0, "chunked-exchange frame payload bound in bytes (0 = default 8 KiB; only with -mem-budget)"),
 		Codec:        fs.String("codec", "none", "wire codec decorating the transport: "+codec.Names()+" (model stats unaffected)"),
-		CodecMin:     fs.Int("codec-min", codec.DefaultMinSize, "frames smaller than this many bytes ship uncompressed"),
 		Validate:     fs.Bool("validate", false, "run the distributed verifier after sorting"),
 		Cores:        fs.Int("cores", 0, "intra-PE work pool width (0 = GOMAXPROCS, 1 = sequential; output and model stats identical at any width)"),
 		ParMergeMin:  fs.Int("par-merge-min", 0, "minimum received strings before the Step-4 merge is partitioned across the pool (0 = default 2048, negative = always sequential)"),
@@ -98,7 +96,6 @@ func (tf *TuningFlags) Apply(cfg *Config) error {
 	}
 	cfg.Algorithm = algo
 	cfg.Codec = codecName
-	cfg.CodecMinSize = *tf.CodecMin
 	cfg.Seed = *tf.Seed
 	cfg.Oversampling = *tf.Oversampling
 	cfg.CharSampling = *tf.CharSample

@@ -175,8 +175,10 @@ type Config struct {
 	// Oversampling is the per-PE sample count v of Step 2; 0 lets the
 	// algorithm pick v = 2p−1 (Θ(p), quantile-aligned).
 	Oversampling int
-	// CharSampling switches to character-based splitter sampling
-	// (Theorem 3 load balancing; the skew experiment of Section VII-E).
+	// CharSampling switches the MS family and PDMS to character-based
+	// splitter sampling (Theorem 3 load balancing; the skew experiment of
+	// Section VII-E). PDMS weights each sample by its approximated
+	// distinguishing prefix length.
 	CharSampling bool
 	// Eps is PDMS's prefix growth factor (default 1 = doubling).
 	Eps float64
@@ -225,11 +227,9 @@ type Config struct {
 	// model time and bytes/string are billed on the raw payloads and stay
 	// bit-identical under every codec — while Stats.WireBytes reports what
 	// actually crossed the wire. Works identically over the local and TCP
-	// substrates and under both exchange seams.
+	// substrates and under both exchange seams. Frames smaller than
+	// codec.DefaultMinSize (64 bytes) ship uncompressed.
 	Codec string
-	// CodecMinSize is the compression threshold in bytes: frames smaller
-	// than this ship uncompressed (0 means the codec default, 64).
-	CodecMinSize int
 	// Cores bounds the intra-PE work pool: each PE spreads its Step-1
 	// local sort, Step-3 bucket encode and run decode over up to Cores
 	// workers. 0 selects runtime.GOMAXPROCS(0); 1 forces the exact
@@ -716,16 +716,23 @@ func wrapCodec(f transport.Fabric, cfg Config) (transport.Fabric, error) {
 	if name == "none" {
 		return f, nil
 	}
-	return codec.WrapFabric(f, codec.Config{Name: name, MinSize: cfg.CodecMinSize})
+	return codec.WrapFabric(f, codec.Config{Name: name})
 }
 
 // dispatch runs the configured algorithm on one PE. sp and out are nil in
 // the default in-RAM mode; budget mode (runBudget) passes the PE's spill
-// pool and sorted-run writer through to the algorithm's budget options.
+// pool and sorted-run writer through to the algorithm's seam.
 func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *spill.RunWriter) core.Result {
 	sampling := partition.StringSampling
 	if cfg.CharSampling {
 		sampling = partition.CharSampling
+	}
+	seam := core.Seam{
+		BlockingExchange: cfg.BlockingExchange,
+		StreamChunk:      cfg.StreamChunk,
+		ParMergeMin:      cfg.ParMergeMin,
+		Spill:            sp,
+		Out:              out,
 	}
 	switch cfg.Algorithm {
 	case HQuick:
@@ -735,58 +742,28 @@ func dispatch(c *comm.Comm, ss [][]byte, cfg Config, sp *spill.Pool, out *spill.
 			Spill:            sp, Out: out,
 		})
 	case FKMerge:
-		return core.FKMerge(c, ss, core.FKOptions{
-			GroupID: 1, BlockingExchange: cfg.BlockingExchange,
-			StreamChunk: cfg.StreamChunk,
-			ParMergeMin: cfg.ParMergeMin,
-			Spill:       sp, Out: out,
+		return core.FKMerge(c, ss, core.FKOptions{GroupID: 1, Seam: seam})
+	case MS, MSSimple:
+		return core.MergeSort(c, ss, core.MSOptions{
+			LCP:            cfg.Algorithm == MS,
+			Sampling:       sampling,
+			V:              cfg.Oversampling,
+			TieBreak:       cfg.TieBreak,
+			RandomSampling: cfg.RandomSampling,
+			GroupID:        1,
+			Seed:           cfg.Seed,
+			Seam:           seam,
 		})
-	case MSSimple:
-		o := core.MSSimple()
-		o.GroupID = 1
-		o.Seed = cfg.Seed
-		o.V = cfg.Oversampling
-		o.Sampling = sampling
-		o.TieBreak = cfg.TieBreak
-		o.RandomSampling = cfg.RandomSampling
-		o.BlockingExchange = cfg.BlockingExchange
-		o.StreamChunk = cfg.StreamChunk
-		o.ParMergeMin = cfg.ParMergeMin
-		o.Spill = sp
-		o.Out = out
-		return core.MergeSort(c, ss, o)
-	case MS:
-		o := core.DefaultMS()
-		o.GroupID = 1
-		o.Seed = cfg.Seed
-		o.V = cfg.Oversampling
-		o.Sampling = sampling
-		o.TieBreak = cfg.TieBreak
-		o.RandomSampling = cfg.RandomSampling
-		o.BlockingExchange = cfg.BlockingExchange
-		o.StreamChunk = cfg.StreamChunk
-		o.ParMergeMin = cfg.ParMergeMin
-		o.Spill = sp
-		o.Out = out
-		return core.MergeSort(c, ss, o)
 	case PDMS, PDMSGolomb:
-		o := core.DefaultPDMS()
-		o.Golomb = cfg.Algorithm == PDMSGolomb
-		o.GroupID = 1
-		o.Seed = cfg.Seed
-		o.V = cfg.Oversampling
-		if cfg.Eps > 0 {
-			o.Eps = cfg.Eps
-		}
-		if cfg.CharSampling {
-			o.StringSamplingOverride = false
-		}
-		o.BlockingExchange = cfg.BlockingExchange
-		o.StreamChunk = cfg.StreamChunk
-		o.ParMergeMin = cfg.ParMergeMin
-		o.Spill = sp
-		o.Out = out
-		return core.PDMS(c, ss, o)
+		return core.PDMS(c, ss, core.PDMSOptions{
+			Eps:      cfg.Eps,
+			Golomb:   cfg.Algorithm == PDMSGolomb,
+			V:        cfg.Oversampling,
+			Sampling: sampling,
+			GroupID:  1,
+			Seed:     cfg.Seed,
+			Seam:     seam,
+		})
 	default:
 		panic(fmt.Sprintf("stringsort: unknown algorithm %v", cfg.Algorithm))
 	}

@@ -218,3 +218,50 @@ func TestStatsOrderingAcrossAlgorithms(t *testing.T) {
 			vol[PDMS], vol[MS], vol[MSSimple])
 	}
 }
+
+// TestCharSamplingReachesPDMS pins that Config.CharSampling switches PDMS
+// and PDMS-Golomb to character-based splitter sampling: on the
+// CommonCrawl-like and suffix instances the sampling mode must move the
+// bucket boundaries — and with them the exchanged volume — while every
+// run still sorts correctly.
+func TestCharSamplingReachesPDMS(t *testing.T) {
+	const p = 8
+	instances := map[string]func(pe int) [][]byte{
+		"commoncrawl": func(pe int) [][]byte {
+			return input.CommonCrawlLike(input.CCConfig{LinesPerPE: 600, Seed: 5}, pe, p)
+		},
+		"suffix": func(pe int) [][]byte {
+			return input.SuffixInstance(input.SuffixConfig{TextLen: 4000, Seed: 5}, pe, p)
+		},
+	}
+	for name, gen := range instances {
+		inputs := make([][][]byte, p)
+		for pe := range inputs {
+			inputs[pe] = gen(pe)
+		}
+		for _, algo := range []Algorithm{PDMS, PDMSGolomb} {
+			var st [2]Stats
+			for i, char := range []bool{false, true} {
+				res, err := Sort(inputs, Config{
+					Algorithm: algo, Seed: 3, CharSampling: char,
+					Validate: true, Reconstruct: true,
+				})
+				if err != nil {
+					t.Fatalf("%s %v char=%v: %v", name, algo, char, err)
+				}
+				var concat [][]byte
+				for _, pe := range res.PEs {
+					concat = append(concat, pe.Strings...)
+				}
+				if !strutil.IsSorted(concat) || strutil.MultisetHash(concat) != strutil.MultisetHash(flatten(inputs)) {
+					t.Fatalf("%s %v char=%v: output not the sorted input", name, algo, char)
+				}
+				st[i] = res.Stats
+			}
+			if st[0].BytesSent == st[1].BytesSent || st[0].MaxBytesRecv == st[1].MaxBytesRecv {
+				t.Fatalf("%s %v: CharSampling left the exchange unchanged (bytes sent %d vs %d, max recv %d vs %d)",
+					name, algo, st[0].BytesSent, st[1].BytesSent, st[0].MaxBytesRecv, st[1].MaxBytesRecv)
+			}
+		}
+	}
+}
