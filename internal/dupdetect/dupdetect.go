@@ -19,7 +19,8 @@
 package dupdetect
 
 import (
-	"sort"
+	"errors"
+	"slices"
 
 	"dss/internal/comm"
 	"dss/internal/fingerprint"
@@ -101,6 +102,13 @@ func ApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 	for i := 0; i < n; i++ {
 		candidates = append(candidates, int32(i))
 	}
+	// Every round reuses these: the requests, the TwoLevel recheck list,
+	// the per-string verdicts (cleared as the candidates resolve) and the
+	// uniqueness rounds' routing buffers.
+	allReqs := make([]req, 0, n)
+	var recheck []req
+	unique := make([]bool, n)
+	rs := newRounds(g, n)
 
 	ell := opt.InitialLen
 	for {
@@ -118,8 +126,7 @@ func ApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 		// 0-terminator is a real character) — and then resolves with bound
 		// |s| regardless of the verdict: transmitting the whole string is
 		// always sufficient, duplicates included.
-		lengthResolve := make(map[int32]bool)
-		allReqs := make([]req, 0, len(candidates))
+		allReqs = allReqs[:0]
 		for _, ci := range candidates {
 			// Strictly shorter than ℓ: the guess has grown past the end of
 			// the string, so the "prefix" includes the terminator. At
@@ -132,7 +139,6 @@ func ApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 				states[ci] = hasher.Extend(states[ci], ss[ci], n)
 				c.AddWork(int64(n - prevPos))
 				fp = hasher.FinalizeTerminated(states[ci])
-				lengthResolve[ci] = true
 			} else {
 				prevPos := states[ci].Pos()
 				states[ci] = hasher.Extend(states[ci], ss[ci], ell)
@@ -145,24 +151,17 @@ func ApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 		// Uniqueness check, optionally in two fingerprint resolutions:
 		// a cheap 32-bit round first, then a full 64-bit round for the
 		// candidates whose short fingerprint collided.
-		var uniqueCands map[int32]bool
 		if opt.TwoLevel {
-			shortUnique := uniqueRound(g, p, allReqs, roundOpts{short: true, hyper: opt.Hypercube})
-			var recheck []req
-			uniqueCands = make(map[int32]bool, len(shortUnique))
+			rs.uniqueRound(allReqs, roundOpts{short: true, hyper: opt.Hypercube}, unique)
+			recheck = recheck[:0]
 			for _, r := range allReqs {
-				if shortUnique[r.cand] {
-					uniqueCands[r.cand] = true
-				} else {
+				if !unique[r.cand] {
 					recheck = append(recheck, r)
 				}
 			}
-			longUnique := uniqueRound(g, p, recheck, roundOpts{golomb: opt.Golomb, hyper: opt.Hypercube})
-			for cand := range longUnique {
-				uniqueCands[cand] = true
-			}
+			rs.uniqueRound(recheck, roundOpts{golomb: opt.Golomb, hyper: opt.Hypercube}, unique)
 		} else {
-			uniqueCands = uniqueRound(g, p, allReqs, roundOpts{golomb: opt.Golomb, hyper: opt.Hypercube})
+			rs.uniqueRound(allReqs, roundOpts{golomb: opt.Golomb, hyper: opt.Hypercube}, unique)
 		}
 
 		// Resolve candidates: unique fingerprints prove distinguishing
@@ -170,11 +169,13 @@ func ApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
 		// after their terminated blocking round.
 		live := candidates[:0]
 		for _, ci := range candidates {
+			isUnique := unique[ci]
+			unique[ci] = false
 			switch {
-			case lengthResolve[ci]:
+			case len(ss[ci]) < ell:
 				res.Dist[ci] = int32(len(ss[ci]))
 				res.ResolvedLength++
-			case uniqueCands[ci]:
+			case isUnique:
 				res.Dist[ci] = int32(ell)
 				res.ResolvedUnique++
 			default:
@@ -206,96 +207,262 @@ type roundOpts struct {
 	hyper  bool // hypercube-route the all-to-alls (power-of-two p only)
 }
 
+// rounds holds the buffers one PE's uniqueness rounds reuse. Each
+// ApproxDist call owns its own: the PEs of a machine run concurrently.
+type rounds struct {
+	g *comm.Group
+	p int
+	// routed and scratch hold up to n requests each: a round sorts its
+	// requests in routed (scratch is the radix sort's scatter buffer),
+	// then groups them by destination into scratch.
+	routed, scratch []req
+	fps             []uint64 // the grouped fingerprints, as encoded
+	off             []int    // destination d's group is [off[d], off[d+1])
+	bits            []bool   // verdicts on the received fingerprints
+}
+
+func newRounds(g *comm.Group, n int) *rounds {
+	p := g.N()
+	return &rounds{
+		g: g, p: p,
+		routed: make([]req, n), scratch: make([]req, n),
+		fps: make([]uint64, n), off: make([]int, p+1),
+	}
+}
+
 // uniqueRound routes each request's fingerprint to PE (fp mod p), counts
-// global multiplicities there, and returns the set of candidates whose
-// fingerprint is globally unique. One collective call per PE.
-func uniqueRound(g *comm.Group, p int, reqs []req, ro roundOpts) map[int32]bool {
+// global multiplicities there, and sets unique[cand] for every request
+// whose fingerprint is globally unique. One collective call per PE.
+//
+// Every fingerprint message is sorted, in all three formats: Golomb coding
+// needs it, and the receiver counts multiplicities by merging the runs.
+func (rs *rounds) uniqueRound(reqs []req, ro roundOpts, unique []bool) {
+	p := rs.p
 	// Short rounds count by the upper 32 bits (well-mixed by the
 	// finalizer); routing must use the same value so all copies of a
 	// fingerprint meet at the same PE.
-	perDest := make([][]req, p)
-	for _, r := range reqs {
-		fp := r.fp
+	routed := rs.routed[:len(reqs)]
+	for i, r := range reqs {
 		if ro.short {
-			fp >>= 32
+			r.fp >>= 32
 		}
-		d := int(fp % uint64(p))
-		perDest[d] = append(perDest[d], req{cand: r.cand, fp: fp})
+		routed[i] = r
+	}
+	radixSort(routed, rs.scratch[:len(reqs)])
+
+	// Group by destination with a stable counting scatter, so every group
+	// stays sorted: count into off[d], turn the counts into group ends,
+	// and fill each group back to front.
+	off := rs.off
+	clear(off)
+	for _, r := range routed {
+		off[r.fp%uint64(p)]++
+	}
+	for d := 1; d <= p; d++ {
+		off[d] += off[d-1]
+	}
+	grouped := rs.scratch[:len(reqs)]
+	for i := len(routed) - 1; i >= 0; i-- {
+		d := routed[i].fp % uint64(p)
+		off[d]--
+		grouped[off[d]] = routed[i]
 	}
 
-	exchange := func(parts [][]byte) [][]byte {
-		if ro.hyper && p&(p-1) == 0 {
-			return g.AlltoallvHypercube(parts)
-		}
-		return g.Alltoallv(parts)
+	fps := rs.fps[:len(reqs)]
+	for i, r := range grouped {
+		fps[i] = r.fp
 	}
-
 	parts := make([][]byte, p)
-	for d := 0; d < p; d++ {
-		fps := make([]uint64, len(perDest[d]))
-		for j, r := range perDest[d] {
-			fps[j] = r.fp
-		}
+	for d := range parts {
+		run := fps[off[d]:off[d+1]]
 		switch {
 		case ro.golomb:
-			sort.Slice(perDest[d], func(a, b int) bool { return perDest[d][a].fp < perDest[d][b].fp })
-			for j, r := range perDest[d] {
-				fps[j] = r.fp
-			}
-			parts[d] = golomb.EncodeSorted(fps)
+			parts[d] = golomb.EncodeSorted(run)
 		case ro.short:
-			parts[d] = wire.EncodeUint32sFixed(fps)
+			parts[d] = wire.EncodeUint32sFixed(run)
 		default:
-			parts[d] = wire.EncodeUint64sFixed(fps)
+			parts[d] = wire.EncodeUint64sFixed(run)
 		}
 	}
-	recvd := exchange(parts)
+	replies := rs.verdicts(rs.exchange(parts, ro), ro)
+	verdicts := rs.exchange(replies, ro)
 
-	counts := make(map[uint64]int)
-	decoded := make([][]uint64, p)
-	for src := 0; src < p; src++ {
-		var fps []uint64
-		var err error
-		switch {
-		case ro.golomb:
-			fps, err = golomb.DecodeSorted(recvd[src])
-		case ro.short:
-			fps, err = wire.DecodeUint32sFixed(recvd[src])
-		default:
-			fps, err = wire.DecodeUint64sFixed(recvd[src])
-		}
-		if err != nil {
-			panic("dupdetect: corrupt fingerprint message: " + err.Error())
-		}
-		decoded[src] = fps
-		for _, fp := range fps {
-			counts[fp]++
-		}
-	}
-
-	replies := make([][]byte, p)
-	for src := 0; src < p; src++ {
-		bits := make([]bool, len(decoded[src]))
-		for j, fp := range decoded[src] {
-			bits[j] = counts[fp] == 1
-		}
-		replies[src] = wire.EncodeBitset(bits)
-	}
-	verdicts := exchange(replies)
-
-	unique := make(map[int32]bool)
-	for d := 0; d < p; d++ {
-		bits, err := wire.DecodeBitset(verdicts[d])
-		if err != nil || len(bits) != len(perDest[d]) {
+	for d, msg := range verdicts {
+		group := grouped[off[d]:off[d+1]]
+		bits, err := wire.DecodeBitset(msg)
+		if err != nil || len(bits) != len(group) {
 			panic("dupdetect: corrupt verdict message")
 		}
-		for j, r := range perDest[d] {
+		for j, r := range group {
 			if bits[j] {
 				unique[r.cand] = true
 			}
 		}
 	}
-	return unique
+}
+
+func (rs *rounds) exchange(parts [][]byte, ro roundOpts) [][]byte {
+	if ro.hyper && rs.p&(rs.p-1) == 0 {
+		return rs.g.AlltoallvHypercube(parts)
+	}
+	return rs.g.Alltoallv(parts)
+}
+
+var errUnsorted = errors.New("fingerprint run not sorted")
+
+// verdicts decodes the fingerprint runs a round delivered to this PE, one
+// per source, and returns one bitset reply per source marking which of
+// its fingerprints occur exactly once across all runs.
+func (rs *rounds) verdicts(recvd [][]byte, ro roundOpts) [][]byte {
+	runs := make([][]uint64, len(recvd))
+	total := 0
+	for src, msg := range recvd {
+		var fps []uint64
+		var err error
+		switch {
+		case ro.golomb:
+			fps, err = golomb.DecodeSorted(msg)
+		case ro.short:
+			fps, err = wire.DecodeUint32sFixed(msg)
+		default:
+			fps, err = wire.DecodeUint64sFixed(msg)
+		}
+		// The multiplicity merge relies on sorted runs; a Golomb run can
+		// only go out of order by a wrapping gap.
+		if err == nil && !slices.IsSorted(fps) {
+			err = errUnsorted
+		}
+		if err != nil {
+			panic("dupdetect: corrupt fingerprint message: " + err.Error())
+		}
+		runs[src] = fps
+		total += len(fps)
+	}
+
+	if cap(rs.bits) < total {
+		rs.bits = make([]bool, total)
+	}
+	bits := rs.bits[:total]
+	clear(bits)
+	markUnique(runs, bits)
+
+	replies := make([][]byte, len(runs))
+	at := 0
+	for src, run := range runs {
+		replies[src] = wire.EncodeBitset(bits[at : at+len(run)])
+		at += len(run)
+	}
+	return replies
+}
+
+// markUnique sets bits[i] for every value that occurs exactly once in all
+// runs together, i indexing the runs' concatenation. Every run must be
+// sorted. A merge over a binary min-heap of the run heads finds each
+// value's multiplicity in O(n log p) for n values in p runs.
+func markUnique(runs [][]uint64, bits []bool) {
+	start := make([]int, len(runs)) // offset of each run in bits
+	pos := make([]int, len(runs))   // each run's merge cursor
+	h := make(runHeap, 0, len(runs))
+	at := 0
+	for i, run := range runs {
+		start[i] = at
+		at += len(run)
+		if len(run) > 0 {
+			h = append(h, runHead{fp: run[0], run: i})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	for len(h) > 0 {
+		fp := h[0].fp
+		count, last := 0, 0
+		for len(h) > 0 && h[0].fp == fp {
+			i := h[0].run
+			run, j := runs[i], pos[i]
+			last = start[i] + j
+			for j < len(run) && run[j] == fp {
+				j++
+				count++
+			}
+			pos[i] = j
+			if j < len(run) {
+				h[0].fp = run[j]
+			} else {
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+			}
+			h.down(0)
+		}
+		if count == 1 {
+			bits[last] = true
+		}
+	}
+}
+
+// runHead is a run's next unmerged value.
+type runHead struct {
+	fp  uint64
+	run int
+}
+
+// runHeap is a binary min-heap of run heads ordered by value.
+type runHeap []runHead
+
+// down restores the heap order below i after h[i] grew.
+func (h runHeap) down(i int) {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && h[l].fp < h[least].fp {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].fp < h[least].fp {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// radixSort sorts a by fingerprint with an LSD radix sort over the
+// fingerprint's bytes, using tmp (as long as a) as the scatter buffer.
+// A byte position on which all keys agree is skipped, so 32-bit keys cost
+// four passes.
+func radixSort(a, tmp []req) {
+	if len(a) < 2 {
+		return
+	}
+	var counts [8][256]int
+	for _, r := range a {
+		for b := range counts {
+			counts[b][byte(r.fp>>(8*b))]++
+		}
+	}
+	src, dst := a, tmp
+	for b := range counts {
+		c := &counts[b]
+		shift := 8 * b
+		if c[byte(a[0].fp>>shift)] == len(a) {
+			continue
+		}
+		sum := 0
+		for d, k := range c {
+			c[d] = sum
+			sum += k
+		}
+		for _, r := range src {
+			d := byte(r.fp >> shift)
+			dst[c[d]] = r
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
 }
 
 func allRanks(p int) []int {

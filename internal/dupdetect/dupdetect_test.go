@@ -2,12 +2,22 @@ package dupdetect
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"dss/internal/comm"
+	"dss/internal/fingerprint"
+	"dss/internal/golomb"
+	"dss/internal/input"
+	"dss/internal/stats"
 	"dss/internal/strutil"
+	"dss/internal/wire"
 )
 
 // runApprox distributes the global string set over p PEs round-robin, runs
@@ -303,4 +313,362 @@ func TestVolumePerStringLogarithmic(t *testing.T) {
 	if perString > 40 {
 		t.Fatalf("duplicate detection sends %.1f bytes/string; want ≤ 40", perString)
 	}
+}
+
+// dealRoundRobin splits a global string set over p PEs, string i to PE i mod p.
+func dealRoundRobin(global [][]byte, p int) [][][]byte {
+	locals := make([][][]byte, p)
+	for i, s := range global {
+		locals[i%p] = append(locals[i%p], s)
+	}
+	return locals
+}
+
+// runPerPE runs approx collectively on the given per-PE string sets and
+// returns each PE's result and the machine's report.
+func runPerPE(t *testing.T, locals [][][]byte, opt Options,
+	approx func(*comm.Comm, [][]byte, Options) Result) ([]Result, *stats.Report) {
+	t.Helper()
+	m := comm.New(len(locals))
+	res := make([]Result, len(locals))
+	err := m.Run(func(c *comm.Comm) error {
+		res[c.Rank()] = approx(c, locals[c.Rank()], opt)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, m.Report()
+}
+
+// TestApproxDistMatchesMapOracle pins the sort-merge rounds to the
+// map-based algorithm they replaced: the same bounds, iteration and
+// resolution counts on every PE, and the same bytes, messages and work
+// billed to every PE, for every message format and routing.
+func TestApproxDistMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	var chain, dups [][]byte
+	for k := 0; k <= 40; k++ {
+		chain = append(chain, bytes.Repeat([]byte("a"), k), bytes.Repeat([]byte("a"), k/2))
+	}
+	for i := 0; i < 120; i++ {
+		dups = append(dups, []byte(fmt.Sprintf("duplicate-%d", i%5)))
+	}
+	inputs := []struct {
+		name   string
+		locals func(p int) [][][]byte
+	}{
+		{"random", func(p int) [][][]byte { return dealRoundRobin(genStrings(rng, 400, 24, 3), p) }},
+		{"commoncrawl", func(p int) [][][]byte {
+			locals := make([][][]byte, p)
+			for pe := range locals {
+				locals[pe] = input.CommonCrawlLike(input.CCConfig{LinesPerPE: 150, Seed: 61}, pe, p)
+			}
+			return locals
+		}},
+		{"prefix-chain", func(p int) [][][]byte { return dealRoundRobin(chain, p) }},
+		{"duplicates", func(p int) [][][]byte { return dealRoundRobin(dups, p) }},
+	}
+	modes := []struct {
+		name string
+		opt  Options
+	}{
+		{"raw", Options{}},
+		{"golomb", Options{Golomb: true}},
+		{"twolevel", Options{TwoLevel: true}},
+		{"twolevel-golomb", Options{TwoLevel: true, Golomb: true}},
+		// Hypercube routing at p = 3 and 5 falls back to direct delivery.
+		{"hypercube", Options{Hypercube: true, Golomb: true}},
+	}
+	for _, in := range inputs {
+		for _, p := range []int{1, 2, 3, 5, 8} {
+			locals := in.locals(p)
+			for _, mode := range modes {
+				t.Run(fmt.Sprintf("%s/p%d/%s", in.name, p, mode.name), func(t *testing.T) {
+					opt := mode.opt
+					opt.GroupID, opt.Seed = 1, 62
+					got, gotRep := runPerPE(t, locals, opt, ApproxDist)
+					want, wantRep := runPerPE(t, locals, opt, oracleApproxDist)
+					for pe := range got {
+						if !reflect.DeepEqual(got[pe], want[pe]) {
+							t.Fatalf("PE %d: result %+v, oracle %+v", pe, got[pe], want[pe])
+						}
+						if g, w := gotRep.PEs[pe].Phases, wantRep.PEs[pe].Phases; g != w {
+							t.Fatalf("PE %d: counters %+v, oracle %+v", pe, g, w)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestUnsortedRunPanics feeds a round's receiving side one sorted and one
+// out-of-order fingerprint run: the multiplicity merge needs sorted runs,
+// so the round must reject the message rather than miscount.
+func TestUnsortedRunPanics(t *testing.T) {
+	// Count 2, M = 1, first value 2^64-1, then a gap of 1 (unary "10"):
+	// the second value wraps around to 0.
+	golombWrap := binary.AppendUvarint(nil, 2)
+	golombWrap = binary.AppendUvarint(golombWrap, 1)
+	golombWrap = binary.AppendUvarint(golombWrap, math.MaxUint64)
+	golombWrap = append(golombWrap, 0x80)
+	cases := []struct {
+		name      string
+		ro        roundOpts
+		ok, wrong []byte
+	}{
+		{"raw", roundOpts{}, wire.EncodeUint64sFixed([]uint64{1, 3}), wire.EncodeUint64sFixed([]uint64{5, 3})},
+		{"short", roundOpts{short: true}, wire.EncodeUint32sFixed([]uint64{1, 3}), wire.EncodeUint32sFixed([]uint64{5, 3})},
+		{"golomb-wrap", roundOpts{golomb: true}, golomb.EncodeSorted([]uint64{1, 3}), golombWrap},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "dupdetect: corrupt fingerprint message") {
+					t.Fatalf("panic %q, want a corrupt fingerprint message", msg)
+				}
+			}()
+			new(rounds).verdicts([][]byte{tc.ok, tc.wrong}, tc.ro)
+		})
+	}
+}
+
+// BenchmarkApproxDist times the whole prefix doubling on the perfbench
+// cc-pdms-tcp input (CommonCrawl-like lines, 2 PEs × 200k) in each
+// message format; ns/str is per input string.
+func BenchmarkApproxDist(b *testing.B) {
+	const p, perPE = 2, 200_000
+	locals := make([][][]byte, p)
+	for pe := range locals {
+		locals[pe] = input.CommonCrawlLike(input.CCConfig{LinesPerPE: perPE, Seed: 1}, pe, p)
+	}
+	modes := []struct {
+		name string
+		opt  Options
+	}{
+		{"Golomb", Options{Golomb: true}},
+		{"raw", Options{}},
+		{"TwoLevel", Options{TwoLevel: true}},
+	}
+	for _, mode := range modes {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				m := comm.New(p)
+				if err := m.Run(func(c *comm.Comm) error {
+					ApproxDist(c, locals[c.Rank()], mode.opt)
+					return nil
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*p*perPE), "ns/str")
+		})
+	}
+}
+
+// oracleApproxDist is ApproxDist as it was before the sort-merge rounds:
+// per-round maps for the verdicts, perDest append growth, sort.Slice on the
+// Golomb path only, and a map counting the received fingerprints. The
+// equivalence test runs it as the reference.
+func oracleApproxDist(c *comm.Comm, ss [][]byte, opt Options) Result {
+	opt.setDefaults()
+	prevPhase := c.SetPhase(stats.PhaseDupDetect)
+	defer c.SetPhase(prevPhase)
+
+	p := c.P()
+	g := comm.NewGroup(c, allRanks(p), opt.GroupID)
+	hasher := fingerprint.New(opt.Seed)
+
+	n := len(ss)
+	res := Result{Dist: make([]int32, n)}
+	states := make([]fingerprint.State, n)
+	candidates := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		candidates = append(candidates, int32(i))
+	}
+
+	ell := opt.InitialLen
+	for {
+		// Global termination check.
+		remaining := g.AllreduceUint64([]uint64{uint64(len(candidates))}, comm.Sum)[0]
+		if remaining == 0 {
+			break
+		}
+		res.Iterations++
+
+		// Fingerprint the length-ℓ prefixes, extending incrementally.
+		// A string shorter than ℓ participates one final time with a
+		// *terminated* fingerprint — it must keep blocking longer strings
+		// that have it as a proper prefix (in the paper's model the
+		// 0-terminator is a real character) — and then resolves with bound
+		// |s| regardless of the verdict: transmitting the whole string is
+		// always sufficient, duplicates included.
+		lengthResolve := make(map[int32]bool)
+		allReqs := make([]req, 0, len(candidates))
+		for _, ci := range candidates {
+			// Strictly shorter than ℓ: the guess has grown past the end of
+			// the string, so the "prefix" includes the terminator. At
+			// exactly ℓ == |s| the prefix is the whole string WITHOUT the
+			// terminator and must collide with equal-length prefixes of
+			// longer strings.
+			var fp uint64
+			if n := len(ss[ci]); n < ell {
+				prevPos := states[ci].Pos()
+				states[ci] = hasher.Extend(states[ci], ss[ci], n)
+				c.AddWork(int64(n - prevPos))
+				fp = hasher.FinalizeTerminated(states[ci])
+				lengthResolve[ci] = true
+			} else {
+				prevPos := states[ci].Pos()
+				states[ci] = hasher.Extend(states[ci], ss[ci], ell)
+				c.AddWork(int64(ell - prevPos)) // only fresh characters are hashed
+				fp = hasher.Finalize(states[ci])
+			}
+			allReqs = append(allReqs, req{cand: ci, fp: fp})
+		}
+
+		// Uniqueness check, optionally in two fingerprint resolutions:
+		// a cheap 32-bit round first, then a full 64-bit round for the
+		// candidates whose short fingerprint collided.
+		var uniqueCands map[int32]bool
+		if opt.TwoLevel {
+			shortUnique := oracleUniqueRound(g, p, allReqs, roundOpts{short: true, hyper: opt.Hypercube})
+			var recheck []req
+			uniqueCands = make(map[int32]bool, len(shortUnique))
+			for _, r := range allReqs {
+				if shortUnique[r.cand] {
+					uniqueCands[r.cand] = true
+				} else {
+					recheck = append(recheck, r)
+				}
+			}
+			longUnique := oracleUniqueRound(g, p, recheck, roundOpts{golomb: opt.Golomb, hyper: opt.Hypercube})
+			for cand := range longUnique {
+				uniqueCands[cand] = true
+			}
+		} else {
+			uniqueCands = oracleUniqueRound(g, p, allReqs, roundOpts{golomb: opt.Golomb, hyper: opt.Hypercube})
+		}
+
+		// Resolve candidates: unique fingerprints prove distinguishing
+		// prefixes; strings shorter than ℓ resolve with their full length
+		// after their terminated blocking round.
+		live := candidates[:0]
+		for _, ci := range candidates {
+			switch {
+			case lengthResolve[ci]:
+				res.Dist[ci] = int32(len(ss[ci]))
+				res.ResolvedLength++
+			case uniqueCands[ci]:
+				res.Dist[ci] = int32(ell)
+				res.ResolvedUnique++
+			default:
+				live = append(live, ci)
+			}
+		}
+		candidates = live
+
+		// Grow the guess geometrically.
+		next := int(float64(ell) * (1 + opt.Eps))
+		if next <= ell {
+			next = ell + 1
+		}
+		ell = next
+	}
+	return res
+}
+
+// oracleUniqueRound routes each request's fingerprint to PE (fp mod p), counts
+// global multiplicities there, and returns the set of candidates whose
+// fingerprint is globally unique. One collective call per PE.
+func oracleUniqueRound(g *comm.Group, p int, reqs []req, ro roundOpts) map[int32]bool {
+	// Short rounds count by the upper 32 bits (well-mixed by the
+	// finalizer); routing must use the same value so all copies of a
+	// fingerprint meet at the same PE.
+	perDest := make([][]req, p)
+	for _, r := range reqs {
+		fp := r.fp
+		if ro.short {
+			fp >>= 32
+		}
+		d := int(fp % uint64(p))
+		perDest[d] = append(perDest[d], req{cand: r.cand, fp: fp})
+	}
+
+	exchange := func(parts [][]byte) [][]byte {
+		if ro.hyper && p&(p-1) == 0 {
+			return g.AlltoallvHypercube(parts)
+		}
+		return g.Alltoallv(parts)
+	}
+
+	parts := make([][]byte, p)
+	for d := 0; d < p; d++ {
+		fps := make([]uint64, len(perDest[d]))
+		for j, r := range perDest[d] {
+			fps[j] = r.fp
+		}
+		switch {
+		case ro.golomb:
+			sort.Slice(perDest[d], func(a, b int) bool { return perDest[d][a].fp < perDest[d][b].fp })
+			for j, r := range perDest[d] {
+				fps[j] = r.fp
+			}
+			parts[d] = golomb.EncodeSorted(fps)
+		case ro.short:
+			parts[d] = wire.EncodeUint32sFixed(fps)
+		default:
+			parts[d] = wire.EncodeUint64sFixed(fps)
+		}
+	}
+	recvd := exchange(parts)
+
+	counts := make(map[uint64]int)
+	decoded := make([][]uint64, p)
+	for src := 0; src < p; src++ {
+		var fps []uint64
+		var err error
+		switch {
+		case ro.golomb:
+			fps, err = golomb.DecodeSorted(recvd[src])
+		case ro.short:
+			fps, err = wire.DecodeUint32sFixed(recvd[src])
+		default:
+			fps, err = wire.DecodeUint64sFixed(recvd[src])
+		}
+		if err != nil {
+			panic("dupdetect: corrupt fingerprint message: " + err.Error())
+		}
+		decoded[src] = fps
+		for _, fp := range fps {
+			counts[fp]++
+		}
+	}
+
+	replies := make([][]byte, p)
+	for src := 0; src < p; src++ {
+		bits := make([]bool, len(decoded[src]))
+		for j, fp := range decoded[src] {
+			bits[j] = counts[fp] == 1
+		}
+		replies[src] = wire.EncodeBitset(bits)
+	}
+	verdicts := exchange(replies)
+
+	unique := make(map[int32]bool)
+	for d := 0; d < p; d++ {
+		bits, err := wire.DecodeBitset(verdicts[d])
+		if err != nil || len(bits) != len(perDest[d]) {
+			panic("dupdetect: corrupt verdict message")
+		}
+		for j, r := range perDest[d] {
+			if bits[j] {
+				unique[r.cand] = true
+			}
+		}
+	}
+	return unique
 }

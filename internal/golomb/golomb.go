@@ -7,6 +7,7 @@
 package golomb
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/bits"
 
@@ -259,20 +260,21 @@ func ChooseM(span uint64, n int) uint64 {
 // sequence: header (count, M, first value), then delta-coded gaps. The
 // caller must pass a sorted slice; duplicates are allowed (gap 0).
 func EncodeSorted(vals []uint64) []byte {
-	hdr := wire.NewBuffer(16)
-	hdr.Uvarint(uint64(len(vals)))
 	if len(vals) == 0 {
-		return hdr.Bytes()
+		return binary.AppendUvarint(nil, 0)
 	}
 	span := vals[len(vals)-1] - vals[0]
 	m := ChooseM(span, len(vals))
-	hdr.Uvarint(m)
-	hdr.Uvarint(vals[0])
 	// Estimated code length: the quotients sum to span/m ≈ n/ln 2 bits of
 	// unary, plus one terminator and one ⌈log2 m⌉-bit remainder per value.
 	remBits := uint64(bits.Len64(m-1)) + 1
 	estBits := span/m + uint64(len(vals)-1)*remBits
-	w := NewBitWriter(int(estBits/8) + 1)
+	// The header goes straight into the writer's buffer: it ends on a byte
+	// boundary, so the bit stream continues right after it.
+	w := NewBitWriter(3*binary.MaxVarintLen64 + int(estBits/8) + 1)
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(vals)))
+	w.buf = binary.AppendUvarint(w.buf, m)
+	w.buf = binary.AppendUvarint(w.buf, vals[0])
 	prev := vals[0]
 	for _, v := range vals[1:] {
 		if v < prev {
@@ -281,8 +283,10 @@ func EncodeSorted(vals []uint64) []byte {
 		encodeValue(w, v-prev, m)
 		prev = v
 	}
-	out := hdr.Bytes()
-	return append(out, w.Bytes()...)
+	if w.n > 0 { // zero-pad the last byte, as Bytes does
+		w.buf = append(w.buf, byte(w.acc>>56))
+	}
+	return w.buf
 }
 
 // DecodeSorted reverses EncodeSorted.

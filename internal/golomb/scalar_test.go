@@ -2,6 +2,7 @@ package golomb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -172,17 +173,20 @@ func TestBitIODifferentialRandom(t *testing.T) {
 	}
 }
 
-// scalarEncodeSorted re-implements EncodeSorted with the scalar writer so
-// the buffered encoder can be checked for byte identity (the stream format
-// — and therefore the bytes/str benchmark metric — must not change).
+// scalarEncodeSorted re-implements EncodeSorted, header included, with the
+// scalar writer so the buffered encoder can be checked for byte identity
+// (the stream format — and therefore the bytes/str benchmark metric — must
+// not change).
 func scalarEncodeSorted(vals []uint64) []byte {
-	w := &scalarBitWriter{}
+	hdr := binary.AppendUvarint(nil, uint64(len(vals)))
 	if len(vals) == 0 {
-		full := EncodeSorted(vals)
-		return full // header-only message has no bit stream
+		return hdr // header-only message has no bit stream
 	}
+	w := &scalarBitWriter{}
 	span := vals[len(vals)-1] - vals[0]
 	m := ChooseM(span, len(vals))
+	hdr = binary.AppendUvarint(hdr, m)
+	hdr = binary.AppendUvarint(hdr, vals[0])
 	prev := vals[0]
 	for _, v := range vals[1:] {
 		q := (v - prev) / m
@@ -199,7 +203,7 @@ func scalarEncodeSorted(vals []uint64) []byte {
 		}
 		prev = v
 	}
-	return w.buf
+	return append(hdr, w.buf...)
 }
 
 func lenB(v uint64) int {
@@ -222,9 +226,8 @@ func TestEncodeSortedByteIdentical(t *testing.T) {
 			vals[i] = cur
 		}
 		full := EncodeSorted(vals)
-		wantBits := scalarEncodeSorted(vals)
-		if len(wantBits) > 0 && !bytes.HasSuffix(full, wantBits) {
-			t.Fatalf("bit stream differs from scalar encoder for %v", vals)
+		if want := scalarEncodeSorted(vals); !bytes.Equal(full, want) {
+			t.Fatalf("message differs from scalar encoder for %v: % x, want % x", vals, full, want)
 		}
 		got, err := DecodeSorted(full)
 		if err != nil {
@@ -254,9 +257,8 @@ func FuzzEncodeSorted(f *testing.F) {
 		vals[2] = vals[1] + c%(1<<60)
 		vals[3] = vals[2] + d%(1<<60)
 		full := EncodeSorted(vals)
-		wantBits := scalarEncodeSorted(vals)
-		if len(wantBits) > 0 && !bytes.HasSuffix(full, wantBits) {
-			t.Fatalf("bit stream differs from scalar encoder for %v", vals)
+		if want := scalarEncodeSorted(vals); !bytes.Equal(full, want) {
+			t.Fatalf("message differs from scalar encoder for %v: % x, want % x", vals, full, want)
 		}
 		got, err := DecodeSorted(full)
 		if err != nil {

@@ -331,7 +331,7 @@ func DecodeUint64sFixed(msg []byte) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cnt*8 > uint64(len(msg))+8 {
+	if cnt > uint64(r.Remaining())/8 {
 		return nil, ErrCorrupt
 	}
 	out := make([]uint64, 0, cnt)
@@ -367,7 +367,7 @@ func DecodeUint32sFixed(msg []byte) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cnt*4 > uint64(len(msg))+4 {
+	if cnt > uint64(r.Remaining())/4 {
 		return nil, ErrCorrupt
 	}
 	out := make([]uint64, 0, cnt)
@@ -381,26 +381,20 @@ func DecodeUint32sFixed(msg []byte) ([]uint64, error) {
 	return out, nil
 }
 
-// EncodeBitset packs booleans into a bitset message.
+// EncodeBitset packs booleans into a bitset message: the count, then the
+// bits eight to a byte, least significant first.
 func EncodeBitset(bs []bool) []byte {
-	w := NewBuffer(len(bs)/8 + 10)
-	w.Uvarint(uint64(len(bs)))
-	var cur byte
-	nbits := 0
-	for _, b := range bs {
+	out := make([]byte, 0, UvarintLen(uint64(len(bs)))+(len(bs)+7)/8)
+	out = binary.AppendUvarint(out, uint64(len(bs)))
+	for i, b := range bs {
+		if i%8 == 0 {
+			out = append(out, 0)
+		}
 		if b {
-			cur |= 1 << uint(nbits)
-		}
-		nbits++
-		if nbits == 8 {
-			w.Raw([]byte{cur})
-			cur, nbits = 0, 0
+			out[len(out)-1] |= 1 << (i % 8)
 		}
 	}
-	if nbits > 0 {
-		w.Raw([]byte{cur})
-	}
-	return w.Bytes()
+	return out
 }
 
 // DecodeBitset reverses EncodeBitset.
@@ -410,11 +404,14 @@ func DecodeBitset(msg []byte) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	nbytes := int((cnt + 7) / 8)
-	raw, err := r.Raw(nbytes)
-	if err != nil {
-		return nil, err
+	nbytes := cnt / 8
+	if cnt%8 != 0 {
+		nbytes++
 	}
+	if nbytes > uint64(r.Remaining()) {
+		return nil, ErrCorrupt
+	}
+	raw, _ := r.Raw(int(nbytes)) // cannot fail: the length was checked above
 	out := make([]bool, cnt)
 	for i := range out {
 		out[i] = raw[i/8]&(1<<uint(i%8)) != 0

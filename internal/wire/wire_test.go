@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -252,5 +255,82 @@ func TestBitsetRoundtrip(t *testing.T) {
 				t.Fatalf("n=%d bit %d mismatch", n, i)
 			}
 		}
+	}
+}
+
+// refEncodeBitset is the bit-at-a-time bitset encoder EncodeBitset must
+// match byte for byte: the count, then the bits eight to a byte, least
+// significant first, the last byte zero-padded.
+func refEncodeBitset(bs []bool) []byte {
+	out := binary.AppendUvarint(nil, uint64(len(bs)))
+	var cur byte
+	nbits := 0
+	for _, b := range bs {
+		if b {
+			cur |= 1 << uint(nbits)
+		}
+		nbits++
+		if nbits == 8 {
+			out = append(out, cur)
+			cur, nbits = 0, 0
+		}
+	}
+	if nbits > 0 {
+		out = append(out, cur)
+	}
+	return out
+}
+
+func TestBitsetByteIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	lengths := []int{1000}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for trial := 0; trial < 8; trial++ {
+			bs := make([]bool, n)
+			for i := range bs {
+				bs[i] = rng.Intn(2) == 0
+			}
+			msg := EncodeBitset(bs)
+			if want := refEncodeBitset(bs); !bytes.Equal(msg, want) {
+				t.Fatalf("n=%d: % x, want % x", n, msg, want)
+			}
+			got, err := DecodeBitset(msg)
+			if err != nil || len(got) != n {
+				t.Fatalf("n=%d: decoded %d bits, err %v", n, len(got), err)
+			}
+			for i := range bs {
+				if got[i] != bs[i] {
+					t.Fatalf("n=%d bit %d mismatch", n, i)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodersRejectOverflowingCounts feeds each fixed-width decoder a count
+// whose byte size wraps around 64 bits: the decoders must return
+// ErrCorrupt instead of trying to allocate for it.
+func TestDecodersRejectOverflowingCounts(t *testing.T) {
+	cases := []struct {
+		name   string
+		cnt    uint64
+		decode func([]byte) error
+	}{
+		{"Uint64sFixed/2^61", 1 << 61, func(m []byte) error { _, err := DecodeUint64sFixed(m); return err }},
+		{"Uint64sFixed/2^62", 1 << 62, func(m []byte) error { _, err := DecodeUint64sFixed(m); return err }},
+		{"Uint32sFixed/2^62", 1 << 62, func(m []byte) error { _, err := DecodeUint32sFixed(m); return err }},
+		{"Bitset/2^64-1", math.MaxUint64, func(m []byte) error { _, err := DecodeBitset(m); return err }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			msg := binary.AppendUvarint(nil, tc.cnt)
+			msg = append(msg, make([]byte, 16)...)
+			if err := tc.decode(msg); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("count %d: err = %v, want ErrCorrupt", tc.cnt, err)
+			}
+		})
 	}
 }
