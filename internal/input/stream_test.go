@@ -19,7 +19,7 @@ func TestLineReaderMatchesSplit(t *testing.T) {
 		"a",
 		"a\n",
 		"a\nbb\nccc\n",
-		"a\n\nb\n", // empty interior line survives
+		"a\n\nb\n",                              // empty interior line survives
 		strings.Repeat("x", 5000) + "\nshort\n", // line larger than any chunk
 	}
 	// A bigger random file: lines of length 0..80.

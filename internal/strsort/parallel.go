@@ -22,12 +22,18 @@
 //     work billing) and recursing into the disjoint <, =, > parts as pool
 //     tasks, again bottoming out in the sequential kernel.
 //
-// Equivalence argument (pinned by FuzzParallelSortEquivalence and the
-// stringsort determinism suite): chunk-major distribution order equals the
-// sequential encounter order, so the permutation entering every bucket is
-// identical; each sub-sort runs the exact sequential code on an identical
-// subarray; and the work total is a sum of per-task int64 counters whose
-// addition commutes, so no schedule can change it.
+// Both front-ends skip shared runs exactly like the sequential kernels
+// (the same sharedRun scan and k·n billing before each pass or partition),
+// so a D/N prefix costs one scan rather than one fork/join pass per shared
+// character.
+//
+// Equivalence argument (pinned by FuzzParallelSortEquivalence, the oracle
+// differential and the stringsort determinism suite): chunk-major
+// distribution order equals the sequential encounter order, so the
+// permutation entering every bucket is identical; each sub-sort runs the
+// exact sequential code on an identical subarray; and the work total is a
+// sum of per-task int64 counters whose addition commutes, so no schedule
+// can change it.
 package strsort
 
 import (
@@ -121,16 +127,22 @@ func (ps *parSorter) seqLeaf(ss [][]byte, sat []uint64, lcp []int32, depth int) 
 	ps.busy.Add(time.Since(t0).Nanoseconds())
 }
 
-// radix is the parallel form of Sorter.msdRadix: one counting pass billed
-// exactly like the sequential one (n characters), a stable chunk-parallel
-// distribution producing the sequential permutation, the sequential LCP
-// boundary assignment, and the bucket recursions spawned on the group.
+// radix is the parallel form of Sorter.msdRadix: the shared-run skip, one
+// counting pass billed exactly like the sequential one (n characters), a
+// stable chunk-parallel distribution producing the sequential permutation,
+// the sequential LCP boundary assignment, and the bucket recursions
+// spawned on the group.
 func (ps *parSorter) radix(ss [][]byte, sat []uint64, lcp []int32, depth int) {
 	n := len(ss)
 	if n < parSortMin {
 		ps.seqLeaf(ss, sat, lcp, depth)
 		return
 	}
+	t0 := time.Now()
+	skip := sharedRun(ss, depth)
+	ps.work.Add(int64(skip) * int64(n))
+	depth += skip
+	ps.busy.Add(time.Since(t0).Nanoseconds())
 
 	// Chunk-parallel counting pass over the (depth+1)-st character: worker
 	// w histograms chunk [lo(w), lo(w+1)). One character inspection per
@@ -223,14 +235,17 @@ func (ps *parSorter) radix(ss [][]byte, sat []uint64, lcp []int32, depth int) {
 	}
 }
 
-// mkq is the parallel form of Sorter.mkqsort: the ternary partition at
-// each node is the sequential code verbatim (identical swaps, identical
-// n-character billing); the <, > parts become group tasks and the = part
-// is the sequential tail-iteration one character deeper.
+// mkq is the parallel form of Sorter.mkqsort: the shared-run skip and the
+// ternary partition at each node are the sequential code verbatim
+// (identical swaps, identical billing); the <, > parts become group tasks
+// and the = part is the sequential tail-iteration one character deeper.
 func (ps *parSorter) mkq(ss [][]byte, sat []uint64, depth int) {
 	for len(ss) >= parSortMin {
 		n := len(ss)
 		t0 := time.Now()
+		skip := sharedRun(ss, depth)
+		ps.work.Add(int64(skip) * int64(n))
+		depth += skip
 		p := medianOf3Char(ss, depth)
 		lt, i, gt := 0, 0, n-1
 		for i <= gt {

@@ -122,11 +122,17 @@ func TestParallelSortNilSatellites(t *testing.T) {
 }
 
 // FuzzParallelSortEquivalence: random string sets and core counts, parallel
-// sort ≡ sequential SortLCP on permutation, LCPs and work.
+// sort ≡ sequential SortLCP ≡ the pass-by-pass oracle on permutation, LCPs
+// and work.
 func FuzzParallelSortEquivalence(f *testing.F) {
 	f.Add([]byte("apple\nbanana\napple\nbanan\n"), uint8(4), uint16(100))
 	f.Add([]byte{0, 0, 1, 0xff, 0, 0}, uint8(2), uint16(5000))
 	f.Add([]byte("seed"), uint8(7), uint16(9000))
+	// Shared runs (coresByte>>3 copies of the corpus' first byte in front
+	// of every string) ending inside, at and across 8-byte words.
+	f.Add([]byte("apple\nbanana\napple\nbanan\n"), uint8(17<<3|3), uint16(300))
+	f.Add(bytes.Repeat([]byte("a"), 70), uint8(8<<3|1), uint16(5000))
+	f.Add(append(bytes.Repeat([]byte{7}, 23), 8), uint8(31<<3|3), uint16(4500))
 	f.Fuzz(func(t *testing.T, corpus []byte, coresByte uint8, nWant uint16) {
 		cores := 1 + int(coresByte%8)
 		n := int(nWant) % 12000
@@ -142,6 +148,12 @@ func FuzzParallelSortEquivalence(f *testing.F) {
 			hi := lo + rng.Intn(len(corpus)-lo+1)
 			ss[i] = corpus[lo:hi]
 		}
+		if run := int(coresByte >> 3); run > 0 {
+			prefix := bytes.Repeat(corpus[:1], run)
+			for i, s := range ss {
+				ss[i] = append(prefix[:run:run], s...)
+			}
+		}
 
 		seqSS, seqSat := cloneInput(ss)
 		seqLCP, seqWork := SortLCP(seqSS, seqSat)
@@ -153,6 +165,16 @@ func FuzzParallelSortEquivalence(f *testing.F) {
 		for i := range seqSS {
 			if !bytes.Equal(parSS[i], seqSS[i]) || parSat[i] != seqSat[i] || parLCP[i] != seqLCP[i] {
 				t.Fatalf("cores=%d n=%d: diverged at %d", cores, n, i)
+			}
+		}
+		refSS, refSat := cloneInput(ss)
+		refLCP, refWork := oracleSortLCP(refSS, refSat)
+		if refWork != seqWork {
+			t.Fatalf("n=%d: work %d, oracle %d", n, seqWork, refWork)
+		}
+		for i := range refSS {
+			if refSat[i] != seqSat[i] || refLCP[i] != seqLCP[i] {
+				t.Fatalf("n=%d: diverged from the oracle at %d", n, i)
 			}
 		}
 	})

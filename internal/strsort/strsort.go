@@ -6,12 +6,25 @@
 // no additional asymptotic cost and report the number of characters
 // inspected, the work measure the cost model is based on.
 //
+// Shared runs: before every radix pass and every ternary partition, one
+// word-wise scan (sharedRun) measures how many characters from the current
+// depth on all strings of the subproblem have and agree on. Exactly that
+// many consecutive passes would put every string into one bucket, and such
+// a pass is a no-op: the stable distribution is the identity, no LCP
+// boundary is written and an all-equal partition swaps nothing. The
+// sorters skip them, billing the k·n characters they would have inspected,
+// so the permutation, the LCP array and the work counter are those of the
+// pass-by-pass algorithm, while a prefix shared by the whole subproblem
+// costs k/8 word loads per string instead of k passes (and k recursion
+// levels) over it.
+//
 // All sorters optionally carry one word of satellite data per string
 // (original index, origin id) through the permutation, which the
 // distributed algorithms use to report where each output string came from.
 package strsort
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"sync"
 
@@ -142,6 +155,9 @@ func (st *Sorter) msdRadix(ss [][]byte, sat []uint64, lcp []int32, depth int) {
 		st.fillLCP(ss, lcp, depth)
 		return
 	}
+	skip := sharedRun(ss, depth)
+	st.work += int64(skip) * int64(n)
+	depth += skip
 
 	// Counting pass over the (depth+1)-st character. Bucket 0 holds strings
 	// that end exactly at depth; bucket c+1 holds strings with s[depth]==c.
@@ -203,6 +219,49 @@ func (st *Sorter) msdRadix(ss [][]byte, sat []uint64, lcp []int32, depth int) {
 	// i == 0 already).
 }
 
+// sharedRun returns how many characters from depth on every string of ss
+// (len(ss) ≥ 2, all sharing a prefix of length depth) has and agrees on
+// with ss[0]: min over i of LCP(ss[0], ss[i]) − depth, the number of
+// consecutive single-bucket passes the subproblem is about to make. The
+// scan is round-major — each round compares one 8-byte word of every
+// string with ss[0]'s (little-endian XOR, TrailingZeros64 locating the
+// first differing byte, as in strutil) — and stops at the first string
+// that mismatches at the start of a round. A subproblem with no shared
+// character thus pays about one word comparison, and k skipped passes cost
+// O(n·(1+k/8)) word loads.
+func sharedRun(ss [][]byte, depth int) int {
+	s0 := ss[0]
+	end := len(s0) // the run never outlasts ss[0]; shrinks as strings break it
+	for off := depth; off < end; off += 8 {
+		full := off+8 <= len(s0)
+		var w0 uint64
+		if full {
+			w0 = binary.LittleEndian.Uint64(s0[off:])
+		}
+		for _, s := range ss[1:] {
+			j := off
+			if full && off+8 <= len(s) {
+				x := binary.LittleEndian.Uint64(s[off:]) ^ w0
+				if x == 0 {
+					continue
+				}
+				j += bits.TrailingZeros64(x) >> 3
+			} else {
+				for j < end && j < len(s) && s[j] == s0[j] {
+					j++
+				}
+			}
+			if j < end {
+				end = j
+				if end == off {
+					return end - depth
+				}
+			}
+		}
+	}
+	return end - depth
+}
+
 func bucketOf(s []byte, depth int) int {
 	if len(s) == depth {
 		return 0
@@ -224,6 +283,9 @@ func satSlice(sat []uint64, lo, hi int) []uint64 {
 func (st *Sorter) mkqsort(ss [][]byte, sat []uint64, depth int) {
 	for len(ss) > insertionThreshold {
 		n := len(ss)
+		skip := sharedRun(ss, depth)
+		st.work += int64(skip) * int64(n)
+		depth += skip
 		p := medianOf3Char(ss, depth)
 		// Ternary partition by charAt(s, depth) compared to p.
 		// Invariant: [0,lt) < p, [lt,i) == p, (gt,n-1] > p.

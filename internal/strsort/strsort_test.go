@@ -272,12 +272,35 @@ func BenchmarkSortLCPRandom(b *testing.B) {
 	}
 }
 
+// BenchmarkSortLCPCommonPrefix sorts strings sharing a 40-character
+// prefix, the shape the shared-run skip serves (one scan instead of 40
+// single-bucket radix passes).
 func BenchmarkSortLCPCommonPrefix(b *testing.B) {
 	prefix := bytes.Repeat([]byte("w"), 40)
 	rng := rand.New(rand.NewSource(9))
 	ss := make([][]byte, 50000)
 	for i := range ss {
 		ss[i] = append(append([]byte{}, prefix...), byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		in := make([][]byte, len(ss))
+		copy(in, ss)
+		b.StartTimer()
+		SortLCP(in, nil)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ss)), "ns/str")
+}
+
+// BenchmarkRadixSortHeavyDuplicates sorts 100 000 copies of 20 strings:
+// buckets of equal strings, whose whole length is one shared run.
+func BenchmarkRadixSortHeavyDuplicates(b *testing.B) {
+	rng := rand.New(rand.NewSource(37))
+	vals := randStrings(rng, 20, 30, 26)
+	ss := make([][]byte, 100000)
+	for i := range ss {
+		ss[i] = vals[rng.Intn(len(vals))]
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

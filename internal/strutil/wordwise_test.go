@@ -56,9 +56,9 @@ func diffCases() [][2][]byte {
 	add(nil, []byte("x"))
 	add([]byte("x"), nil)
 	add([]byte("abc"), []byte("abc"))
-	add([]byte("abc"), []byte("abcd"))   // proper prefix
-	add([]byte("abcd"), []byte("abc"))   // proper prefix, reversed
-	add([]byte("abc"), []byte("abd"))    // mismatch in sub-word tail
+	add([]byte("abc"), []byte("abcd")) // proper prefix
+	add([]byte("abcd"), []byte("abc")) // proper prefix, reversed
+	add([]byte("abc"), []byte("abd"))  // mismatch in sub-word tail
 	add(bytes.Repeat([]byte("a"), 100), bytes.Repeat([]byte("a"), 100))
 	add(bytes.Repeat([]byte("a"), 100), bytes.Repeat([]byte("a"), 101))
 

@@ -196,8 +196,8 @@ func (h delayHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h delayHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *delayHeap) Push(x any)        { *h = append(*h, x.(frame)) }
+func (h delayHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *delayHeap) Push(x any)   { *h = append(*h, x.(frame)) }
 func (h *delayHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -195,19 +195,19 @@ type peerConn struct {
 	dialer bool   // this side redials after a drop (peer < own rank)
 	addr   string // peer's listen address, for redials
 
-	mu         sync.Mutex
-	cond       *sync.Cond // wakes senders: ring drained, or pair failed
-	condW      *sync.Cond // wakes the writer: work pending, conn adopted, or failed
-	c          net.Conn   // nil while disconnected
-	w          *bufio.Writer
-	gen        int  // bumped per adopted connection; stale errors are ignored
-	connecting bool // a reconnect attempt is under way
+	mu          sync.Mutex
+	cond        *sync.Cond // wakes senders: ring drained, or pair failed
+	condW       *sync.Cond // wakes the writer: work pending, conn adopted, or failed
+	c           net.Conn   // nil while disconnected
+	w           *bufio.Writer
+	gen         int  // bumped per adopted connection; stale errors are ignored
+	connecting  bool // a reconnect attempt is under way
 	failed      bool
-	flushing    bool // Close's flush phase is waiting for this pair to quiesce
-	goodbyeSent bool // our goodbye control frame made it onto the wire
-	departed    bool // peer announced a clean staged shutdown (goodbye received)
-	budget     int           // remaining reconnects
-	waitRedial chan struct{} // closed by adopt; arms the acceptor-side timeout
+	flushing    bool          // Close's flush phase is waiting for this pair to quiesce
+	goodbyeSent bool          // our goodbye control frame made it onto the wire
+	departed    bool          // peer announced a clean staged shutdown (goodbye received)
+	budget      int           // remaining reconnects
+	waitRedial  chan struct{} // closed by adopt; arms the acceptor-side timeout
 
 	// Outgoing direction (guarded by mu). The ring holds every frame from
 	// ackedSeq+1 to nextSeq-1 in order; sendCursor is the next frame the
