@@ -2,12 +2,12 @@
 // exchange (comm.IAlltoallvChunked) feeding incremental run readers
 // (wire.RunReader), every arriving fragment may be diverted to a per-run
 // page file when the decoded arenas exceed the spill pool's budget, the
-// sink-mode loser tree pulls heads off the readers and drains straight
-// into a sorted-run writer instead of an output arena, and each run's
-// consumed arena prefix is recycled as the merge passes it. Feeding order
-// equals arrival order whether bytes take the resident or the spilled
-// route, so the decoded runs — and with them the merged output and every
-// deterministic statistic — are byte-identical to the in-RAM seam. Only
+// sink-mode loser tree pulls windows of decoded strings off the readers
+// and drains straight into a sorted-run writer instead of an output arena,
+// and each run's consumed arena prefix is recycled as the merge passes it.
+// Feeding order equals arrival order whether bytes take the resident or the
+// spilled route, so the decoded runs — and with them the merged output and
+// every deterministic statistic — are byte-identical to the in-RAM seam. Only
 // where bytes wait (RAM vs page file) and where the output lands (arena vs
 // run file) differ, and those differences live on the measured channels:
 // SpillBytesWritten/Read, PeakLiveBytes and the write-behind CPU share.
@@ -210,48 +210,33 @@ func (st *spillStream) finish() {
 	st.c.AddCPU(busy)
 }
 
-// spillSource adapts one budgeted run to merge.Source. A head is only
-// valid until its source advances past it — the arena behind consumed
-// heads is recycled — which is exactly the guarantee the sink-mode merge
-// needs and no more.
+// spillSource adapts one budgeted run to merge.Source. A window is only
+// valid until the next one is pulled — the arena behind consumed strings
+// is recycled — which is exactly the guarantee the sink-mode merge needs
+// and no more.
 type spillSource struct {
 	st  *spillStream
 	run *spillRun
-	cur wire.Item
-	has bool
-	eof bool
 }
 
-// Head returns the run's current head, paging and draining until it is
-// decodable; ok=false reports the run exhausted.
-func (s *spillSource) Head() ([]byte, bool) {
-	for !s.has && !s.eof {
-		it, ok, err := s.run.r.Next()
+// Next returns the strings the run's reader has decoded and not yet handed
+// out, paging and draining until there is at least one; an empty window
+// reports the run exhausted.
+func (s *spillSource) Next() merge.Sequence {
+	for {
+		strs, lcps, err := s.run.r.Window()
 		switch {
 		case err != nil:
 			panic("core: corrupt spilled run: " + err.Error())
-		case ok:
-			s.cur, s.has = it, true
+		case len(strs) > 0:
+			return merge.Sequence{Strings: strs, LCPs: lcps}
 		case s.run.r.Done():
-			s.eof = true
+			return merge.Sequence{}
 		default:
 			s.st.feedMore(s.run)
 		}
 	}
-	if s.eof {
-		return nil, false
-	}
-	return s.cur.S, true
 }
-
-// HeadLCP returns the current head's LCP with the run's previous string.
-func (s *spillSource) HeadLCP() int32 { return s.cur.LCP }
-
-// HeadSat returns the current head's satellite word (PDMS origin).
-func (s *spillSource) HeadSat() uint64 { return s.cur.Sat }
-
-// Advance consumes the current head.
-func (s *spillSource) Advance() { s.has = false }
 
 // markMergeStart returns the merge's first-output hook: it stamps the PE's
 // merge-start milestone, which the overlap reporting compares against the
@@ -265,9 +250,8 @@ func markMergeStart(c *comm.Comm) func() {
 
 // sinkMerge drains the budgeted sources through the sequential sink-mode
 // loser tree into the run writer. The item sequence and the returned work
-// are bit-identical to the in-RAM merges — merge.MergeStreamSink shares
-// the streaming tree and its comparators — only where the output lands
-// differs.
+// are bit-identical to the in-RAM merges — merge.MergeStreamSink runs
+// their loser tree — only where the output lands differs.
 func sinkMerge(c *comm.Comm, st *spillStream, lcp, sats bool, out *spill.RunWriter) (n, work int64) {
 	n, work, err := merge.MergeStreamSink(st.sources(), merge.StreamOptions{
 		LCP: lcp, Sats: sats, OnFirstOutput: markMergeStart(c),
@@ -303,34 +287,26 @@ type compositeSource struct {
 	oabs int64  // next origin byte (absolute file offset) to page in
 	ohdr int    // 0 = before oSize varint, 1 = before count, 2 = origins
 
-	cur wire.Item
-	has bool
+	win merge.Sequence // the window being built; Sats is reused
 	eof bool
 }
 
-// Head returns the run's current (prefix, origin) head, draining the
-// exchange and paging the bucket as needed; ok=false reports exhaustion.
-func (s *compositeSource) Head() ([]byte, bool) {
-	for !s.has && !s.eof {
+// Next returns the prefixes the bucket's reader has decoded and not yet
+// handed out, each with its origin, draining the exchange and paging the
+// bucket until there is at least one; an empty window reports exhaustion.
+func (s *compositeSource) Next() merge.Sequence {
+	s.win.Strings = nil
+	for len(s.win.Strings) == 0 {
+		if s.eof {
+			return merge.Sequence{}
+		}
 		s.pull()
 	}
-	if s.eof {
-		return nil, false
-	}
-	return s.cur.S, true
+	return s.win
 }
 
-// HeadLCP returns the current head's LCP with the run's previous prefix.
-func (s *compositeSource) HeadLCP() int32 { return s.cur.LCP }
-
-// HeadSat returns the current head's origin word.
-func (s *compositeSource) HeadSat() uint64 { return s.cur.Sat }
-
-// Advance consumes the current head.
-func (s *compositeSource) Advance() { s.has = false }
-
 // pull makes one step of progress: complete the bucket, parse the header,
-// decode the next prefix or page in more of a section.
+// decode the next window of prefixes or page in more of a section.
 func (s *compositeSource) pull() {
 	run := s.run
 	for !run.arrived {
@@ -360,13 +336,16 @@ func (s *compositeSource) pull() {
 		s.oabs = s.end
 		s.hdr = true
 	}
-	it, ok, err := s.sr.Next()
+	strs, lcps, err := s.sr.Window()
 	switch {
 	case err != nil:
 		panic("core: corrupt spilled run: " + err.Error())
-	case ok:
-		it.Sat = s.nextOrigin()
-		s.cur, s.has = it, true
+	case len(strs) > 0:
+		s.win.Sats = s.win.Sats[:0]
+		for range strs {
+			s.win.Sats = append(s.win.Sats, s.nextOrigin())
+		}
+		s.win.Strings, s.win.LCPs = strs, lcps
 	case s.sr.Done():
 		s.eof = true
 	default:

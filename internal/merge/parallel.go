@@ -120,7 +120,7 @@ func mergeSeqs(pool *par.Pool, seqs []Sequence, useLCP bool, parMin int, h Hooks
 	}
 
 	if parts <= 1 {
-		t := newTree(seqs, useLCP)
+		t := seatTree(seqs, nil, useLCP)
 		t.init()
 		t.emit(total, out.Strings, out.LCPs, out.Sats)
 		work := t.work
@@ -164,8 +164,7 @@ func mergeSeqs(pool *par.Pool, seqs []Sequence, useLCP bool, parMin int, h Hooks
 		if anySats {
 			sats = out.Sats[lo:hi]
 		}
-		t := newTree(seqs, useLCP)
-		copy(t.pos, cuts[j])
+		t := seatTree(seqs, cuts[j], useLCP)
 		if j == 0 {
 			t.init() // billed: this IS the sequential merge's tree build
 		} else {
@@ -184,6 +183,23 @@ func mergeSeqs(pool *par.Pool, seqs []Sequence, useLCP bool, parMin int, h Hooks
 		out.LCPs[0] = 0
 	}
 	return out, work, busy
+}
+
+// seatTree builds a tree whose streams read the runs as single windows,
+// stream q starting at string start[q] (at 0 for a nil start).
+func seatTree(seqs []Sequence, start []int, useLCP bool) *tree {
+	t := newTree(len(seqs), useLCP)
+	for q, s := range seqs {
+		t.win[q] = s
+		p := 0
+		if start != nil {
+			p = start[q]
+		}
+		if p < s.Len() {
+			t.setHead(q, p, 0)
+		}
+	}
+	return t
 }
 
 // predecessor returns the output element immediately before the partition

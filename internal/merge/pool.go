@@ -5,20 +5,21 @@ import (
 	"sync"
 )
 
-// treeState is the pooled backing store shared by the eager tree and the
-// streaming tree: all arrays have capacity ≥ the padded leaf count of the
-// tree that borrowed them. heads/fetched are only used by streamTree.
+// treeState is the pooled backing store of a loser tree: all arrays have
+// capacity ≥ the padded leaf count of the tree that borrowed them.
 type treeState struct {
-	loser   []int
-	pos     []int
-	curH    []int32
-	heads   [][]byte
-	fetched []bool
+	loser []int
+	head  [][]byte
+	curH  []int32
+	hc    []int32
+	done  []bool
+	pos   []int
+	win   []Sequence
 }
 
 // treePools holds one sync.Pool per power-of-two size class, mirroring
 // strsort.GetSized/Put: merges of similar K reuse each other's arrays, and
-// the padded sentinel state stops being a per-merge allocation.
+// the padded per-stream state stops being a per-merge allocation.
 var treePools [bits.UintSize + 1]sync.Pool
 
 func stateClass(k int) int { return bits.Len(uint(k)) }
@@ -28,11 +29,13 @@ func getTreeState(k int) *treeState {
 		return st
 	}
 	return &treeState{
-		loser:   make([]int, k),
-		pos:     make([]int, k),
-		curH:    make([]int32, k),
-		heads:   make([][]byte, k),
-		fetched: make([]bool, k),
+		loser: make([]int, k),
+		head:  make([][]byte, k),
+		curH:  make([]int32, k),
+		hc:    make([]int32, k),
+		done:  make([]bool, k),
+		pos:   make([]int, k),
+		win:   make([]Sequence, k),
 	}
 }
 
@@ -41,7 +44,7 @@ func putTreeState(st *treeState) {
 		return
 	}
 	// Drop string references so pooled state never pins input arenas.
-	clear(st.heads[:cap(st.heads)])
-	clear(st.fetched[:cap(st.fetched)])
+	clear(st.head[:cap(st.head)])
+	clear(st.win[:cap(st.win)])
 	treePools[stateClass(cap(st.loser))].Put(st)
 }

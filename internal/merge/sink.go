@@ -12,7 +12,7 @@ package merge
 // string has been sunk — so a sink that keeps it must copy.
 type Sink func(s []byte, lcp int32, sat uint64) error
 
-// MergeStreamSink merges the sources through the streaming loser tree and
+// MergeStreamSink merges the sources through the loser tree and
 // pushes every output item into sink, in order. The item sequence
 // (strings, LCPs, satellites) and the returned character work are
 // bit-identical to MergeStream over the same sources (MergeStream is this
@@ -21,69 +21,33 @@ type Sink func(s []byte, lcp int32, sat uint64) error
 // off to. A sink error aborts the merge and is returned; sources are left
 // mid-run (the caller's cleanup owns them).
 func MergeStreamSink(sources []Source, opt StreamOptions, sink Sink) (n int64, work int64, err error) {
-	k := 1
-	for k < len(sources) {
-		k <<= 1
-	}
-	st := getTreeState(k)
-	t := &streamTree{
-		k:       k,
-		loser:   st.loser[:k],
-		srcs:    sources,
-		heads:   st.heads[:len(sources)],
-		fetched: st.fetched[:len(sources)],
-		curH:    st.curH[:len(sources)],
-		useLCP:  opt.LCP,
-		state:   st,
-	}
-	clear(t.fetched)
-	clear(t.curH)
+	t := newTree(len(sources), opt.LCP)
 	defer t.release()
-
-	winner := t.initNode(1)
-	first := true
-	for {
-		w := t.head(winner)
-		if w == nil {
-			break
+	t.srcs = sources
+	for s := range sources {
+		if t.fill(s) {
+			t.setHead(s, 0, 0)
 		}
+	}
+	t.init()
+	for !t.done[t.winner] {
+		w := t.winner
 		lcp := int32(0)
-		if opt.LCP && !first {
-			lcp = t.curH[winner]
+		if opt.LCP && n > 0 {
+			lcp = t.curH[w]
 		}
 		var sat uint64
 		if opt.Sats {
-			sat = t.srcs[winner].HeadSat()
+			sat = t.sat(w)
 		}
-		if first {
-			first = false
-			if opt.OnFirstOutput != nil {
-				opt.OnFirstOutput()
-			}
+		if n == 0 && opt.OnFirstOutput != nil {
+			opt.OnFirstOutput()
 		}
-		if err := sink(w, lcp, sat); err != nil {
+		if err := sink(t.head[w], lcp, sat); err != nil {
 			return n, t.work, err
 		}
 		n++
-		// Advance the winner's stream; the new head's LCP with the last
-		// output is the stream's own LCP entry (see emit in merge.go).
-		t.srcs[winner].Advance()
-		t.fetched[winner] = false
-		if t.useLCP {
-			if t.head(winner) != nil {
-				t.curH[winner] = t.srcs[winner].HeadLCP()
-			} else {
-				t.curH[winner] = 0
-			}
-		}
-		// Replay the path from the winner's leaf to the root.
-		node := (winner + t.k) / 2
-		for node >= 1 {
-			if t.less(t.loser[node], winner) {
-				t.loser[node], winner = winner, t.loser[node]
-			}
-			node /= 2
-		}
+		t.advance()
 	}
 	return n, t.work, nil
 }

@@ -135,39 +135,36 @@ func TestMergeStreamFirstOutputHook(t *testing.T) {
 }
 
 // growingSource simulates an incremental run reader: strings materialize
-// on demand into an append-only arena that REALLOCATES as it grows — the
-// exact storage behavior of wire.RunReader. Earlier heads keep pointing at
-// the superseded backing arrays, which is legal under the aliasing
+// a few at a time into an append-only arena that REALLOCATES as it grows —
+// the exact storage behavior of wire.RunReader. Earlier heads keep pointing
+// at the superseded backing arrays, which is legal under the aliasing
 // contract (append-only, never overwritten); the merge output must come
-// out intact even though the arena moved many times mid-merge.
+// out intact even though the arena moved many times mid-merge. The window
+// slices themselves are reused from one Next to the next, as a reader's
+// item buffers are.
 type growingSource struct {
 	encoded [][]byte // the run's strings, copied in lazily
 	lcps    []int32
 	arena   []byte
 	pos     int
-	head    []byte
-	has     bool
+	win     Sequence
 }
 
-func (g *growingSource) Head() ([]byte, bool) {
-	if g.pos >= len(g.encoded) {
-		return nil, false
-	}
-	if !g.has {
-		// Decode on demand: append into the shared arena, forcing periodic
-		// reallocation (the arena starts tiny and never reserves).
+func (g *growingSource) Next() Sequence {
+	// Decode on demand: append up to three strings into the shared arena,
+	// forcing periodic reallocation (the arena starts tiny and never
+	// reserves).
+	g.win.Strings, g.win.LCPs = g.win.Strings[:0], g.win.LCPs[:0]
+	for n := 1 + g.pos%3; n > 0 && g.pos < len(g.encoded); n-- {
 		off := len(g.arena)
 		g.arena = append(g.arena, g.encoded[g.pos]...)
 		end := len(g.arena)
-		g.head = g.arena[off:end:end]
-		g.has = true
+		g.win.Strings = append(g.win.Strings, g.arena[off:end:end])
+		g.win.LCPs = append(g.win.LCPs, g.lcps[g.pos])
+		g.pos++
 	}
-	return g.head, true
+	return g.win
 }
-
-func (g *growingSource) HeadLCP() int32  { return g.lcps[g.pos] }
-func (g *growingSource) HeadSat() uint64 { return 0 }
-func (g *growingSource) Advance()        { g.pos++; g.has = false }
 
 // TestMergeStreamAliasingContract enforces the documented Source contract
 // end to end: heads that live in append-only arenas stay valid across

@@ -11,9 +11,9 @@
 // scribble over) a chunk buffer the moment Feed returns — which they do:
 // chunks come from the transport's buffer pool and are released
 // immediately. Arenas are append-only and never overwritten, so a string
-// handed out by Next stays valid and immutable for the lifetime of the
-// reader's output (the loser tree caches heads and the merged Sequence
-// aliases them; see merge.Source for the consuming side of the contract).
+// handed out by Next or Window stays valid and immutable for the lifetime
+// of the reader's output (the merged Sequence aliases them; see
+// merge.Source for the consuming side of the contract).
 package wire
 
 import "encoding/binary"
@@ -35,8 +35,7 @@ const (
 
 // Item is one decoded string of a run: the string itself, its LCP with the
 // run's previous string (0 for the first, and always 0 for RunStrings),
-// and its satellite word (0 as decoded; the PDMS budget merge attaches
-// each prefix's origin).
+// and a satellite word, 0 as decoded (run formats carry none).
 type Item struct {
 	S   []byte
 	LCP int32
@@ -75,19 +74,19 @@ type RunReader struct {
 	st  rrState
 	cnt uint64 // declared string count (valid from state > rrCount)
 
-	arena   []byte // decoded characters; items' strings are sub-slices
-	prev    []byte // previously decoded string, for LCP rematerialization
-	items   []Item // decoded items awaiting emission (minus the recycled prefix)
-	base    int    // items dropped from the front of items by Recycle
-	emitted int    // items handed out by Next, run-total
+	arena   []byte   // decoded characters; strs are sub-slices
+	prev    []byte   // previously decoded string, for LCP rematerialization
+	strs    [][]byte // decoded strings (minus the recycled prefix) ...
+	lcps    []int32  // ... and their LCPs, parallel to strs
+	base    int      // items dropped from the front of strs by Recycle
+	emitted int      // items handed out by Next or Window, run-total
 }
 
 // NewRunReader returns a reader for one run in the given format.
 func NewRunReader(format RunFormat) *RunReader {
 	// The arena starts non-nil so that every decoded string — including an
 	// empty string at the very start of the run — is a non-nil slice, like
-	// the one-shot decoders produce. A nil head would read as the loser
-	// tree's +∞ exhausted sentinel and silently drop the rest of the run.
+	// the one-shot decoders produce.
 	return &RunReader{format: format, arena: []byte{}}
 }
 
@@ -136,22 +135,45 @@ func (r *RunReader) Next() (Item, bool, error) {
 		return Item{}, false, r.err
 	}
 	if r.emitted < r.decoded() {
-		it := r.items[r.emitted-r.base]
-		r.items[r.emitted-r.base] = Item{} // drop the reader's alias early
+		i := r.emitted - r.base
+		it := Item{S: r.strs[i], LCP: r.lcps[i]}
+		r.strs[i] = nil // drop the reader's alias early
 		r.emitted++
 		return it, true, nil
 	}
-	if r.finished && !r.Done() {
-		// The stream ended but the run is incomplete and no parse error was
-		// recorded: the remaining items can never materialize.
-		r.err = ErrTruncated
-		return Item{}, false, r.err
+	return Item{}, false, r.stalled()
+}
+
+// Window returns every decoded string not yet emitted, with its LCP, and
+// marks them emitted. It decodes nothing ahead: the window is what the fed
+// chunks have already produced. An empty window with a nil error means
+// what ok=false does for Next. The slices alias the reader's item buffers
+// and stay valid until the next Recycle; the strings obey the aliasing
+// contract in the package comment.
+func (r *RunReader) Window() (strs [][]byte, lcps []int32, err error) {
+	if r.err != nil {
+		return nil, nil, r.err
 	}
-	return Item{}, false, nil
+	if i := r.emitted - r.base; i < len(r.strs) {
+		r.emitted = r.decoded()
+		return r.strs[i:], r.lcps[i:], nil
+	}
+	return nil, nil, r.stalled()
+}
+
+// stalled is the error of a pull that found no decoded string: nil while
+// more chunks may come or the run is complete, ErrTruncated once the
+// stream has ended with the run incomplete (and no parse error recorded),
+// because the remaining items can never materialize.
+func (r *RunReader) stalled() error {
+	if r.finished && !r.Done() {
+		r.err = ErrTruncated
+	}
+	return r.err
 }
 
 // decoded returns the run-total number of strings decoded so far.
-func (r *RunReader) decoded() int { return r.base + len(r.items) }
+func (r *RunReader) decoded() int { return r.base + len(r.strs) }
 
 // ArenaBytes returns the live size of the reader's character arena: the
 // decoded-but-not-recycled characters a budget accountant should meter.
@@ -170,12 +192,14 @@ func (r *RunReader) ArenaBytes() int { return len(r.arena) }
 // overhead allowance.
 func (r *RunReader) Recycle() int {
 	if d := r.emitted - r.base; d > 0 {
-		n := copy(r.items, r.items[d:])
-		clear(r.items[n:])
-		r.items = r.items[:n]
+		n := copy(r.strs, r.strs[d:])
+		copy(r.lcps, r.lcps[d:])
+		clear(r.strs[n:])
+		r.strs = r.strs[:n]
+		r.lcps = r.lcps[:n]
 		r.base = r.emitted
 	}
-	if len(r.items) > 0 {
+	if len(r.strs) > 0 {
 		// Undrained items still alias the arena; nothing to release yet.
 		return 0
 	}
@@ -287,12 +311,14 @@ func (r *RunReader) item() status {
 		end := len(r.arena)
 		str := r.arena[off:end:end]
 		r.prev = str
-		r.items = append(r.items, Item{S: str, LCP: int32(h)})
+		r.strs = append(r.strs, str)
+		r.lcps = append(r.lcps, int32(h))
 	default:
 		off := len(r.arena)
 		r.arena = append(r.arena, body...)
 		end := len(r.arena)
-		r.items = append(r.items, Item{S: r.arena[off:end:end]})
+		r.strs = append(r.strs, r.arena[off:end:end])
+		r.lcps = append(r.lcps, 0)
 	}
 	r.off += pos
 	return stOK

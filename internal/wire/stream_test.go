@@ -296,11 +296,10 @@ func FuzzRunReader(f *testing.F) {
 	})
 }
 
-// TestRunReaderEmptyFirstStringIsNonNil is the regression test of the nil
-// head bug: a run BEGINNING with empty strings must decode them as empty
-// NON-NIL slices, exactly like the one-shot arena decoders do — a nil
-// string reads as the loser tree's exhausted sentinel and would silently
-// drop the rest of the run (see merge.Source's Head contract).
+// TestRunReaderEmptyFirstStringIsNonNil pins the decoders' agreement on
+// empty strings: a run BEGINNING with empty strings must decode them as
+// empty NON-NIL slices, exactly like the one-shot arena decoders do, so
+// the budgeted merge sees the strings the in-RAM merge sees.
 func TestRunReaderEmptyFirstStringIsNonNil(t *testing.T) {
 	ss := [][]byte{{}, {}, []byte("b")}
 	for _, format := range runFormats {

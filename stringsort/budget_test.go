@@ -161,7 +161,7 @@ func TestBudgetDifferential(t *testing.T) {
 
 // TestStreamingMergeEmptyStrings is the regression test of the nil-head
 // bug: a run whose FIRST string is empty must not be mistaken for an
-// exhausted source (nil is the loser tree's +∞ sentinel — see the
+// exhausted source (only an empty window ends a run — see the
 // merge.Source contract). Empty strings sort first, so they land exactly
 // at the head of rank 0's runs; the budget pipeline's streaming merge must
 // deliver every string, byte- and stat-identical to the in-RAM run, for
